@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -24,12 +25,13 @@ from .clustering import (
     maximal_initials_cluster,
     rho,
 )
-from .core import Rle, check_bits, g_chain, rle_decode, rle_encode
+from .core import Rle, check_bits, g_chain, rle_encode
 from .entropy import (
     SHANNON,
     double_deletion_classes,
     entropy,
     entropy_estimate_from_moments,
+    g_chain_entropies,
     parse_measure,
     posterior_shannon,
     single_deletion_classes,
@@ -179,7 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def emit(args, schema: str, params: dict, columns: list[str], rows) -> None:
-    rows = [[str(cell) for cell in row] for row in rows]
+    """Print rows (any iterable of cell sequences; cells are str()-ed once)."""
+    rows = ([str(cell) for cell in row] for row in rows)
     if args.format == "json":
         doc = {
             "schema": schema,
@@ -211,8 +214,11 @@ def format_rle(r: Rle) -> str:
 def cmd_posterior(args) -> int:
     check_bits(args.x)
     p = build_posterior(args.x, args.n, max_bits=args.max_bits)
-    rows = [[y, w, repr(w / p.mu)] for y, w in p.entries]
-    rows.append(["total", p.mu, len(p)])
+    mu = p.mu
+    rows = chain(
+        ((y, w, repr(w / mu)) for y, w in zip(p.strings(), p.weights())),
+        [("total", mu, len(p))],
+    )
     emit(
         args,
         "posterior",
@@ -340,13 +346,12 @@ def cmd_gchain(args) -> int:
     measure = parse_measure(args.measure)
     if not 1 <= len(args.x) <= args.n:
         raise ValueError(f"need 1 <= |x| <= n, got |x|={len(args.x)} n={args.n}")
-    rows = []
-    for step, r in enumerate(g_chain(rle_encode(args.x))):
-        h = entropy(
-            build_posterior(rle_decode(r), args.n, max_bits=args.max_bits),
-            measure,
-        )
-        rows.append([step, format_rle(r), repr(h)])
+    chain_rle = g_chain(rle_encode(args.x))
+    hs = g_chain_entropies(args.x, args.n, measure, max_bits=args.max_bits)
+    rows = [
+        [step, format_rle(r), repr(h)]
+        for step, (r, h) in enumerate(zip(chain_rle, hs))
+    ]
     emit(
         args,
         "gchain",

@@ -2,9 +2,20 @@
 
 These routines are the brute-force side of every dual-route check in the
 package: they compute per-string quantities for the entire space at once
-(strings are indexed by their value as an MSB-first binary number).  Results
-are exact: the embedding counts fit comfortably in int64 for any enumerable
-n, and callers convert to Python ints at the boundary.
+(strings are indexed by their value as an MSB-first binary number).
+
+Embedding counts are computed meet-in-the-middle.  Writing y = y1 y2 with
+|y1| = n // 2, every embedding of x splits at some i into an embedding of
+x[:i] in y1 and one of x[i:] in y2, so
+
+    omega_x(y1 y2) = sum_i omega_{x[:i]}(y1) * omega_{x[i:]}(y2)
+
+and the whole weight vector is one integer matrix product of a prefix table
+(2^(n//2) rows) with a suffix table (2^(n - n//2) columns).  Every term and
+every partial sum is a nonnegative integer no larger than
+omega_x(y) <= C(n, m), so int64 arithmetic is exact whenever
+C(n, m) < 2^63; ``all_weights`` checks that bound before allocating anything.
+Callers convert to Python ints at the boundary.
 
 Full enumeration refuses to run above a size cap (default 22 bits) rather
 than silently thrash; override with the ``max_bits`` argument or the
@@ -16,7 +27,7 @@ import os
 
 import numpy as np
 
-from .core import check_bits
+from .core import binomial, check_bits
 
 DEFAULT_MAX_BITS = 22
 MAX_BITS_ENV = "DELSEQ_MAX_BITS"
@@ -31,7 +42,12 @@ def resolve_max_bits(max_bits: int | None = None) -> int:
         return max_bits
     env = os.environ.get(MAX_BITS_ENV)
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ValueError(
+                f"{MAX_BITS_ENV} must be an integer number of bits, got {env!r}"
+            ) from None
     return DEFAULT_MAX_BITS
 
 
@@ -40,6 +56,19 @@ def check_enumerable(n: int, max_bits: int | None = None) -> None:
     if n > cap:
         raise EnumerationCapExceeded(
             f"enumerating 2^{n} strings exceeds the cap of {cap} bits"
+        )
+
+
+def check_int64_exact(n: int, m: int) -> None:
+    """Refuse (n, m) whose embedding counts could overflow int64.
+
+    Every count, and every partial sum formed while computing one, is at most
+    C(n, m), so int64 is exact exactly when C(n, m) < 2^63.
+    """
+    if binomial(n, m) >= 1 << 63:
+        raise EnumerationCapExceeded(
+            f"embedding counts up to C({n},{m}) = {binomial(n, m)} do not fit "
+            f"in int64: exact enumeration needs C(n,m) < 2^63"
         )
 
 
@@ -55,28 +84,64 @@ def bit_columns(n: int):
         yield ((idx >> (n - 1 - j)) & 1).astype(np.int64)
 
 
+def _prefix_counts(masks: np.ndarray, k: int) -> np.ndarray:
+    """P[u, i] = omega_{x[:i]}(u) for every u of length k, i = 0..m.
+
+    ``masks[b, i]`` is 1 where x[i] = b.  Appending bit b to u (row 2u + b)
+    adds omega_{x[:i-1]}(u) to column i wherever x[i-1] = b.
+    """
+    m = masks.shape[1]
+    p = np.zeros((1, m + 1), dtype=np.int64)
+    p[0, 0] = 1
+    for _ in range(k):
+        q = np.empty((len(p), 2, m + 1), dtype=np.int64)
+        q[:] = p[:, None]
+        q[:, :, 1:] += p[:, None, :-1] * masks
+        p = q.reshape(-1, m + 1)
+    return p
+
+
+def _suffix_counts(masks: np.ndarray, k: int) -> np.ndarray:
+    """S[v, i] = omega_{x[i:]}(v) for every v of length k, i = 0..m.
+
+    Prepending bit b to v (row b * 2^j + v) adds omega_{x[i+1:]}(v) to
+    column i wherever x[i] = b.
+    """
+    m = masks.shape[1]
+    s = np.zeros((1, m + 1), dtype=np.int64)
+    s[0, -1] = 1
+    for _ in range(k):
+        q = np.empty((2, len(s), m + 1), dtype=np.int64)
+        q[:] = s
+        q[:, :, :-1] += s[:, 1:] * masks[:, None]
+        s = q.reshape(-1, m + 1)
+    return s
+
+
 def all_weights(x: str, n: int, max_bits: int | None = None) -> np.ndarray:
     """omega_x(y) for every y of length n, as an int64 array indexed by y."""
     check_bits(x)
     check_enumerable(n, max_bits)
-    m = len(x)
-    size = 1 << n
-    w = [np.ones(size, dtype=np.int64)]
-    w += [np.zeros(size, dtype=np.int64) for _ in range(m)]
-    xs = [int(c) for c in x]
-    for col in bit_columns(n):
-        for i in range(m, 0, -1):
-            np.add(w[i], np.where(col == xs[i - 1], w[i - 1], 0), out=w[i])
-    return w[m]
+    check_int64_exact(n, len(x))
+    masks = np.array([[c == b for c in x] for b in "01"], dtype=np.int64)
+    k = n // 2
+    prefix = _prefix_counts(masks, k)
+    suffix = _suffix_counts(masks, n - k)
+    return (prefix @ suffix.T).reshape(-1)
+
+
+def _popcounts(k: int) -> np.ndarray:
+    """h(u) for every u of length k: prepending a 1 adds one to the count."""
+    h = np.zeros(1, dtype=np.int64)
+    for _ in range(k):
+        h = np.concatenate([h, h + 1])
+    return h
 
 
 def all_hamming_weights(n: int) -> np.ndarray:
-    """h(y) for every y of length n."""
-    size = 1 << n
-    h = np.zeros(size, dtype=np.int64)
-    for col in bit_columns(n):
-        h += col
-    return h
+    """h(y) for every y of length n, as the outer sum of both halves' counts."""
+    k = n // 2
+    return np.add.outer(_popcounts(k), _popcounts(n - k)).reshape(-1)
 
 
 def greedy_match_stats(x: str, n: int, max_bits: int | None = None):

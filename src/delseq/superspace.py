@@ -13,7 +13,7 @@ from math import fsum
 import numpy as np
 
 from .core import binomial, check_bits
-from .exhaustive import all_weights, string_of_index
+from .exhaustive import all_weights
 
 
 def uncertainty_cardinality(n: int, m: int) -> int:
@@ -41,28 +41,46 @@ def _check_nm(n: int, m: int) -> None:
         raise ValueError(f"need 0 <= m <= n, got n={n} m={m}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Posterior:
     """The weighted uncertainty set for x at supersequence length n.
 
-    ``entries`` holds (y, omega_x(y)) pairs for exactly the y with at least
-    one embedding, sorted by y as a binary number; ``mu`` is the exact
-    normalizer, so probabilities are weight/mu.
+    ``support`` holds, in ascending order, the MSB-first index of every
+    length-n y with at least one embedding, and ``omega`` the int64 weight
+    omega_x(y) of each; ``mu`` is the exact normalizer, so probabilities are
+    weight/mu.  ``len(p)`` is the support size.  The (y, weight) pairs are
+    built only when asked for, through ``entries`` or ``strings()``.
     """
 
     x: str
     n: int
-    entries: tuple[tuple[str, int], ...]
+    support: np.ndarray
+    omega: np.ndarray
     mu: int
 
+    def __post_init__(self) -> None:
+        self.support.flags.writeable = False
+        self.omega.flags.writeable = False
+
     def weights(self) -> list[int]:
-        return [w for _, w in self.entries]
+        """The weights as Python ints, in support order."""
+        return self.omega.tolist()
+
+    def strings(self) -> list[str]:
+        """The supersequences y as bit strings, in support order."""
+        # bin() of index + 2^n is "0b1" followed by exactly n bits, n = 0 included
+        return [bin(v)[3:] for v in (self.support + (1 << self.n)).tolist()]
+
+    @property
+    def entries(self) -> tuple[tuple[str, int], ...]:
+        """(y, omega_x(y)) pairs sorted by y as a binary number."""
+        return tuple(zip(self.strings(), self.weights()))
 
     def probabilities(self) -> list[float]:
-        return [w / self.mu for _, w in self.entries]
+        return [w / self.mu for w in self.weights()]
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.support)
 
 
 @dataclass(frozen=True)
@@ -84,18 +102,15 @@ def build_posterior(x: str, n: int, max_bits: int | None = None) -> Posterior:
     _check_nm(n, len(x))
     weights = all_weights(x, n, max_bits=max_bits)
     (support,) = np.nonzero(weights)
-    entries = tuple(
-        (string_of_index(int(i), n), int(weights[i])) for i in support
+    return Posterior(
+        x=x, n=n, support=support, omega=weights[support], mu=total_masks(n, len(x))
     )
-    return Posterior(x=x, n=n, entries=entries, mu=total_masks(n, len(x)))
 
 
 def weight_classes(p: Posterior) -> WeightClasses:
     """Histogram of the posterior's weights."""
-    counts: dict[int, int] = {}
-    for _, w in p.entries:
-        counts[w] = counts.get(w, 0) + 1
-    return WeightClasses(tuple(sorted(counts.items(), reverse=True)))
+    values, counts = np.unique(p.omega, return_counts=True)
+    return WeightClasses(tuple(zip(values[::-1].tolist(), counts[::-1].tolist())))
 
 
 def count_distinct_subsequences(y: str, m: int) -> int:

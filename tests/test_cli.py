@@ -94,6 +94,16 @@ def test_cap_env_variable(capsys, monkeypatch):
     assert code == 0
 
 
+def test_malformed_cap_env_variable(capsys, monkeypatch):
+    monkeypatch.setenv("DELSEQ_MAX_BITS", "twenty")
+    assert main(["posterior", "--x", "1", "--n", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: DELSEQ_MAX_BITS must be an integer number of bits, got 'twenty'\n"
+    )
+
+
 def test_entropy_scan_columns_and_ordering(capsys):
     code, out = run_cli(
         capsys, "entropy-scan", "--n", "7", "--m", "3",

@@ -1,13 +1,23 @@
 """The vectorized whole-space engine against the scalar implementations."""
 
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from delseq import EnumerationCapExceeded, canonical_embedding, count_embeddings_dp
+from delseq import (
+    EnumerationCapExceeded,
+    binomial,
+    canonical_embedding,
+    count_embeddings_dp,
+)
 from delseq.exhaustive import (
     all_hamming_weights,
     all_weights,
+    check_int64_exact,
     greedy_match_stats,
+    resolve_max_bits,
     string_of_index,
 )
 
@@ -31,6 +41,47 @@ def test_all_weights_matches_dp():
             assert w.shape == (1 << n,)
             for i, y in enumerate(ys):
                 assert int(w[i]) == count_embeddings_dp(x, y)
+
+
+def test_all_weights_matches_dp_every_y_up_to_12():
+    rng = random.Random(20200325)
+    for n in range(0, 13):
+        ys = all_strings(n)
+        patterns = {"", "0" * n, "1" * n, "0" * (n + 1), "1" * (n + 3)}
+        for m in range(1, n):
+            patterns.add("".join(rng.choice("01") for _ in range(m)))
+        for x in sorted(patterns):
+            w = all_weights(x, n)
+            assert w.dtype == np.int64 and w.shape == (1 << n,)
+            assert w.tolist() == [count_embeddings_dp(x, y) for y in ys], (x, n)
+        assert all_hamming_weights(n).tolist() == [y.count("1") for y in ys]
+
+
+def test_all_weights_matches_dp_sampled_17_to_22():
+    rng = random.Random(7919)
+    for n in range(17, 23):
+        for m in (1, rng.randint(2, 6), rng.randint(7, 11)):
+            x = "".join(rng.choice("01") for _ in range(m))
+            w = all_weights(x, n)
+            assert int(w.sum()) == binomial(n, m) << (n - m)
+            for i in rng.sample(range(1 << n), 150):
+                assert int(w[i]) == count_embeddings_dp(x, string_of_index(i, n))
+
+
+def test_int64_exactness_guard():
+    assert binomial(66, 33) < 2**63 <= binomial(67, 33)
+    check_int64_exact(66, 33)
+    check_int64_exact(67, 0)
+    with pytest.raises(EnumerationCapExceeded, match=r"2\^63"):
+        check_int64_exact(67, 33)
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationCapExceeded, match=r"C\(67,33\)"):
+            all_weights("0" * 33, 67, max_bits=67)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_all_hamming_weights():
@@ -65,3 +116,7 @@ def test_cap_env_override(monkeypatch):
         all_weights("1", 4)
     monkeypatch.setenv("DELSEQ_MAX_BITS", "4")
     assert all_weights("1", 4).shape == (16,)
+    monkeypatch.setenv("DELSEQ_MAX_BITS", "2O")
+    with pytest.raises(ValueError, match="DELSEQ_MAX_BITS.*'2O'"):
+        resolve_max_bits()
+    assert resolve_max_bits(5) == 5

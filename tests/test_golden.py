@@ -1,0 +1,56 @@
+"""Golden CLI output: the sha256 of stdout for fixed small invocations.
+
+The digests come from an independent implementation (a per-column
+enumeration DP and a posterior of (y, weight) tuples), so every engine or
+posterior representation must reproduce their output byte for byte.
+"""
+
+import hashlib
+
+import pytest
+
+from delseq.cli import main
+
+GOLDEN = [
+    (("posterior", "--x", "0110", "--n", "9"),
+     "586cddf0f90faf4dc88061192d57391c77007acf7c003e166a439637cd795edd"),
+    (("posterior", "--x", "101", "--n", "8", "--format", "json"),
+     "47e36284afbbe94218c9b871f26cf31310ee43b5ed516f75703e0c080f500d54"),
+    (("posterior", "--x", "", "--n", "3"),
+     "5d31ea58c3a6cad43480cd3d4596df759fa7160b8ad80e3a86dd30c7553f748d"),
+    (("posterior", "--x", "0110", "--n", "4", "--format", "json"),
+     "5837857cdf54a818b530a0e28c5d356abf9acc4e87f2b93dce240b05ed4b2560"),
+    (("entropy-scan", "--n", "8", "--m", "4", "--measures",
+      "shannon,renyi2,min,hartley"),
+     "61ec5408e9ed61682d6be4c4729e723fb80941148a60d50012b58e9d11c07fb2"),
+    (("entropy-scan", "--n", "7", "--m", "3", "--measures", "renyi:0.5,hartley",
+      "--format", "json"),
+     "56c1145c23558d80c913d4fe90222d2a2343354a33126eac3c2673d4b81eb0c4"),
+    (("kappa", "--m", "4", "--n", "8"),
+     "2e8b6e1a69163c7464517072cafd383035d541b5fe45664ff191921a229660f3"),
+    (("kappa", "--m", "3", "--n", "7", "--format", "json"),
+     "478a3c82066ddd48eebd415c153b0c73d46f4b26ce5061a7bb62c224b2fbd527"),
+    (("gchain", "--x", "1101001", "--n", "10"),
+     "88d20396b228c261b91e144131d15370894917713c5c714578f7919c6c8f4004"),
+    (("gchain", "--x", "0100", "--n", "8", "--measure", "renyi2", "--format", "json"),
+     "830b4e004c0c5961868e70cf018a88b183874a7bcd52744b4fd325aa86179b26"),
+    (("estimate", "--x", "01101", "--n", "12"),
+     "a7e10362d36199234e76eb8b2b63ff48bce98931d8930490c562d2cc440f635e"),
+    (("clusters", "--x", "0110", "--n", "10"),
+     "50ad382d47953b61659253a58a92440bb5953ee3e6b3ad308ccd983fa2756799"),
+    (("clusters", "--x", "1", "--n", "6", "--format", "json"),
+     "c5825a2ae2b89fa7ad21de4243a80df4bf2a193aa866c0897fdac4e5c66af852"),
+    (("singletons", "--x", "0110", "--n", "10"),
+     "3b1903adbac12c7673fded7313886b56c98568541202b55e50bc8346757a7805"),
+    (("singletons", "--x", "10110", "--n", "5"),
+     "abaa1299b34807bc6e0fee5cae7f53e65a9887461019e46d955c48cc5108be19"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest", GOLDEN, ids=[" ".join(argv) for argv, _ in GOLDEN]
+)
+def test_golden_stdout(capsys, argv, digest):
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

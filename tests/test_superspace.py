@@ -52,6 +52,8 @@ def test_build_posterior_small():
     assert p.entries == (("00", 2), ("01", 1), ("10", 1))
     assert p.mu == 4
     assert sum(p.probabilities()) == pytest.approx(1.0)
+    assert p.support.tolist() == [0, 1, 2] and len(p) == 3
+    assert all(type(w) is int for w in p.weights())
 
 
 def test_build_posterior_table_values():
@@ -68,6 +70,7 @@ def test_build_posterior_table_values():
 def test_build_posterior_degenerate_and_errors():
     p = build_posterior("0110", 4)
     assert p.entries == (("0110", 1),)
+    assert build_posterior("", 0).entries == (("", 1),)
     with pytest.raises(ValueError):
         build_posterior("11", 1)
     with pytest.raises(EnumerationCapExceeded):
