@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
+import io
 import sys
-from itertools import chain
+from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -43,7 +44,12 @@ from .exhaustive import (
     all_weights,
 )
 from .hws import kappa_entropy_table, kappa_squared
-from .superspace import build_posterior, total_masks, uncertainty_cardinality
+from .superspace import (
+    Posterior,
+    build_posterior,
+    total_masks,
+    uncertainty_cardinality,
+)
 from .verify import run_all, suite_names
 
 
@@ -180,20 +186,127 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+RENDER_BLOCK_ROWS = 1 << 14
+
+
+@dataclass(frozen=True)
+class Layout:
+    """The text of one table in one output format; the only place it is defined.
+
+    A document is ``head``, the rows separated by ``sep``, then ``tail``
+    (``tail_empty`` when there are no rows).  A row is ``lead[0] + cell_0 +
+    lead[1] + cell_1 + ... + end``.  CSV cells are quoted by ``csv.writer``
+    and JSON cells escaped by the C string encoder; a plain cell (ASCII
+    letters, digits, '.', '+', '-') needs neither and stands in a row as
+    ``mark + cell + mark``.  The CSV text is what ``csv.writer`` writes with
+    newline line ends; the JSON text is ``json.dumps(doc, indent=2)`` of
+    ``{"schema", "params", "rows"}`` plus a newline.
+    """
+
+    format: str
+    head: str
+    lead: tuple[str, ...]
+    end: str
+    sep: str
+    tail: str
+    tail_empty: str
+    mark: str
+
+    @classmethod
+    def of(cls, fmt: str, schema: str, params: dict, columns: list[str]) -> "Layout":
+        if fmt == "json":
+            enc = encode_basestring_ascii
+            fields = ",".join(
+                f"\n    {enc(k)}: {enc(str(v))}" for k, v in params.items()
+            )
+            return cls(
+                format=fmt,
+                head=f'{{\n  "schema": {enc(schema)},\n  "params": '
+                + (f"{{{fields}\n  }}" if fields else "{}")
+                + ',\n  "rows": [',
+                lead=tuple(
+                    ("\n    {" if i == 0 else ",") + f"\n      {enc(c)}: "
+                    for i, c in enumerate(columns)
+                ),
+                end="\n    }",
+                sep=",",
+                tail="\n  ]\n}\n",
+                tail_empty="]\n}\n",
+                mark='"',
+            )
+        header = io.StringIO()
+        csv.writer(header, lineterminator="\n").writerow(columns)
+        return cls(
+            format=fmt,
+            head=header.getvalue(),
+            lead=("",) + (",",) * (len(columns) - 1),
+            end="\n",
+            sep="",
+            tail="",
+            tail_empty="",
+            mark="",
+        )
+
+    def write(self, out, rows, body=()) -> None:
+        """Write the document to ``out``.
+
+        ``body`` yields rows already laid out, each followed by ``sep``; they
+        come before ``rows`` (any iterable of cell sequences, cells str()-ed
+        once), which then must not be empty.
+        """
+        out.write(self.head)
+        empty = True
+        for text in body:
+            out.write(text)
+            empty = False
+        rows = ([str(cell) for cell in row] for row in rows)
+        if self.format == "csv":
+            csv.writer(out, lineterminator=self.end).writerows(rows)
+            return
+        enc = encode_basestring_ascii
+        sep = ""
+        for row in rows:
+            cells = "".join([lead + enc(c) for lead, c in zip(self.lead, row)])
+            out.write(sep + cells + self.end)
+            sep = self.sep
+            empty = False
+        out.write(self.tail_empty if empty else self.tail)
+
+
 def emit(args, schema: str, params: dict, columns: list[str], rows) -> None:
     """Print rows (any iterable of cell sequences; cells are str()-ed once)."""
-    rows = ([str(cell) for cell in row] for row in rows)
-    if args.format == "json":
-        doc = {
-            "schema": schema,
-            "params": {k: str(v) for k, v in params.items()},
-            "rows": [dict(zip(columns, row)) for row in rows],
-        }
-        print(json.dumps(doc, indent=2))
-    else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(rows)
+    Layout.of(args.format, schema, params, columns).write(sys.stdout, rows)
+
+
+def posterior_rows(p: Posterior, layout: Layout):
+    """Yield the (y, omega, prob) rows of ``p`` laid out, in blocks of rows.
+
+    Everything after y depends only on the weight, so it is formatted once
+    per distinct weight; the y digits come from the support array.  Each row
+    is followed by ``layout.sep``: the total row always comes after them.
+    """
+    values, classes = np.unique(p.omega, return_inverse=True)
+    mark, lead = layout.mark, layout.lead
+    # Python ints, so w / mu is the same float as for every other caller
+    tails = [
+        f"{mark}{lead[1]}{mark}{w}{mark}{lead[2]}{mark}{w / p.mu!r}{mark}"
+        f"{layout.end}{layout.sep}".encode()
+        for w in values.tolist()
+    ]
+    width = max(map(len, tails), default=0)
+    tail_table = np.frombuffer(
+        b"".join(t.ljust(width, b"\0") for t in tails), dtype=np.uint8
+    ).reshape(len(tails), width)
+    head = np.frombuffer((lead[0] + mark).encode(), dtype=np.uint8)
+    for start in range(0, len(p), RENDER_BLOCK_ROWS):
+        stop = start + RENDER_BLOCK_ROWS
+        cls = classes[start:stop]
+        text = np.hstack(
+            [np.broadcast_to(head, (len(cls), len(head))), p.digits(start, stop),
+             tail_table[cls]]
+        )
+        # drop the NUL padding of the shorter tails
+        yield text.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def parse_rle(text: str) -> Rle:
@@ -214,18 +327,10 @@ def format_rle(r: Rle) -> str:
 def cmd_posterior(args) -> int:
     check_bits(args.x)
     p = build_posterior(args.x, args.n, max_bits=args.max_bits)
-    mu = p.mu
-    rows = chain(
-        ((y, w, repr(w / mu)) for y, w in zip(p.strings(), p.weights())),
-        [("total", mu, len(p))],
+    layout = Layout.of(
+        args.format, "posterior", {"x": args.x, "n": args.n}, ["y", "omega", "prob"]
     )
-    emit(
-        args,
-        "posterior",
-        {"x": args.x, "n": args.n},
-        ["y", "omega", "prob"],
-        rows,
-    )
+    layout.write(sys.stdout, [("total", p.mu, len(p))], body=posterior_rows(p, layout))
     return 0
 
 

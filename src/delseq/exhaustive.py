@@ -77,13 +77,6 @@ def string_of_index(i: int, n: int) -> str:
     return format(i, f"0{n}b") if n else ""
 
 
-def bit_columns(n: int):
-    """Yield, for j = 1..n, the j-th bit (MSB first) of every index 0..2^n-1."""
-    idx = np.arange(1 << n, dtype=np.int64)
-    for j in range(n):
-        yield ((idx >> (n - 1 - j)) & 1).astype(np.int64)
-
-
 def _prefix_counts(masks: np.ndarray, k: int) -> np.ndarray:
     """P[u, i] = omega_{x[:i]}(u) for every u of length k, i = 0..m.
 
@@ -149,21 +142,13 @@ def greedy_match_stats(x: str, n: int, max_bits: int | None = None):
 
     Returns ``(present, maximal)`` boolean arrays: ``present[y]`` iff x embeds
     in y at all (the greedy left-to-right match completes), ``maximal[y]`` iff
-    the canonical embedding's last position is position n.
+    the canonical embedding's last position is position n.  The greedy match
+    ends at position n exactly when x embeds in y but not in y[:-1].  For
+    nonempty x, appending the symbol x does not end with leaves every count
+    unchanged, so x embeds in y[:-1] iff it embeds in that extension of y[:-1].
     """
-    check_bits(x)
-    check_enumerable(n, max_bits)
-    m = len(x)
-    size = 1 << n
-    if m == 0:
-        return np.ones(size, dtype=bool), np.zeros(size, dtype=bool)
-    # sentinel entry keeps the gather in range once a match is complete
-    xs = np.array([int(c) for c in x] + [2], dtype=np.int64)
-    matched = np.zeros(size, dtype=np.int64)
-    before_last = matched
-    for j, col in enumerate(bit_columns(n)):
-        if j == n - 1:
-            before_last = matched.copy()
-        matched += xs[matched] == col
-    present = matched == m
-    return present, present & (before_last == m - 1)
+    present = all_weights(x, n, max_bits=max_bits) > 0
+    if not x or n == 0:
+        return present, np.zeros_like(present)
+    in_prefix = present[1 - int(x[-1]) :: 2]
+    return present, present & ~np.repeat(in_prefix, 2)

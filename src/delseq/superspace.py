@@ -49,7 +49,8 @@ class Posterior:
     length-n y with at least one embedding, and ``omega`` the int64 weight
     omega_x(y) of each; ``mu`` is the exact normalizer, so probabilities are
     weight/mu.  ``len(p)`` is the support size.  The (y, weight) pairs are
-    built only when asked for, through ``entries`` or ``strings()``.
+    built only when asked for, through ``entries`` or ``strings()``, and the
+    digits of y in bulk through ``digits()``.
     """
 
     x: str
@@ -66,10 +67,21 @@ class Posterior:
         """The weights as Python ints, in support order."""
         return self.omega.tolist()
 
+    def digits(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """The bits of y, MSB first, as ASCII '0'/'1' bytes for support[start:stop].
+
+        A uint8 array with one row of n bytes per y: the last n of the 64
+        bits of each big-endian index.
+        """
+        octets = self.support[start:stop].astype(">u8").view(np.uint8)
+        bits = np.unpackbits(octets.reshape(-1, 8), axis=1)[:, 64 - self.n :]
+        return bits + np.uint8(ord("0"))
+
     def strings(self) -> list[str]:
         """The supersequences y as bit strings, in support order."""
-        # bin() of index + 2^n is "0b1" followed by exactly n bits, n = 0 included
-        return [bin(v)[3:] for v in (self.support + (1 << self.n)).tolist()]
+        if self.n == 0:
+            return [""] * len(self)
+        return [y.decode() for y in self.digits().view(f"S{self.n}").ravel().tolist()]
 
     @property
     def entries(self) -> tuple[tuple[str, int], ...]:

@@ -235,11 +235,15 @@ def suite_posterior_laws(max_n: int, rng: random.Random) -> SuiteResult:
                 )
             )
             r.check(const == expected, f"constant-x classes wrong n={n} m={m}")
+        # totals[k]: distinct length-k subsequences summed over every y
+        totals = [
+            sum(column)
+            for column in zip(
+                *(superspace.distinct_subsequence_profile(y) for y in _strings(n))
+            )
+        ]
         for t in range(n + 1):
-            mean = sum(
-                superspace.count_distinct_subsequences(y, n - t)
-                for y in _strings(n)
-            ) / (1 << n)
+            mean = totals[n - t] / (1 << n)
             r.check(
                 abs(superspace.expected_distinct_subsequences(n, t) - mean) < 1e-9,
                 f"distinct-subsequence mean wrong n={n} t={t}",

@@ -1,14 +1,19 @@
 """CLI contract: formats, determinism and exit codes."""
 
+import contextlib
 import csv
 import io
+import itertools
 import json
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
-from delseq.cli import main, parse_rle, format_rle
+from delseq.cli import RENDER_BLOCK_ROWS, emit, main, parse_rle, format_rle
 from delseq.core import Rle
+from delseq.embeddings import count_embeddings_dp
 
 
 def run_cli(capsys, *argv):
@@ -198,3 +203,97 @@ def test_verify_help_lists_suites(capsys):
 
     for name in suite_names():
         assert name in flat
+
+
+def reference_table(fmt, schema, params, columns, rows):
+    """The output contract, rendered with csv.writer and json.dumps."""
+    rows = [[str(cell) for cell in row] for row in rows]
+    if fmt == "json":
+        doc = {
+            "schema": schema,
+            "params": {k: str(v) for k, v in params.items()},
+            "rows": [dict(zip(columns, row)) for row in rows],
+        }
+        return json.dumps(doc, indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def reference_posterior_rows(x, n):
+    mu = math.comb(n, len(x)) << (n - len(x))
+    rows = []
+    for bits in itertools.product("01", repeat=n):
+        y = "".join(bits)
+        w = count_embeddings_dp(x, y)
+        if w:
+            rows.append((y, w, repr(w / mu)))
+    return rows + [("total", mu, len(rows))]
+
+
+@pytest.mark.parametrize(
+    "x,n",
+    [("", 0), ("", 3), ("1", 1), ("0110", 4), ("000", 8), ("0110", 9),
+     ("0110", 15)],
+)
+def test_posterior_matches_reference_renderer(capsys, x, n):
+    rows = reference_posterior_rows(x, n)
+    if n == 15:
+        assert len(rows) - 1 > RENDER_BLOCK_ROWS
+    for fmt in ("csv", "json"):
+        code, out = run_cli(
+            capsys, "posterior", "--x", x, "--n", str(n), "--format", fmt
+        )
+        assert code == 0
+        assert out == reference_table(
+            fmt, "posterior", {"x": x, "n": n}, ["y", "omega", "prob"], rows
+        )
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [],
+        [["plain", 1, 0.5]],
+        [["a,b", 'say "hi"', "two\nlines"], ["µ-law", "naïve", "\u2603"],
+         ["", "tab\there", "back\\slash"]],
+    ],
+    ids=["empty", "plain", "special"],
+)
+def test_emit_matches_reference_renderer(capsys, fmt, rows):
+    params = {"x": "a,\"b\"", "n": 3, "note": "é"}
+    columns = ["c,1", 'c"2', "c3"]
+    emit(SimpleNamespace(format=fmt), "demo", params, columns, rows)
+    assert capsys.readouterr().out == reference_table(
+        fmt, "demo", params, columns, rows
+    )
+
+
+def test_emit_json_empty_rows_and_params(capsys):
+    emit(SimpleNamespace(format="json"), "demo", {}, ["a"], iter([]))
+    out = capsys.readouterr().out
+    assert out == '{\n  "schema": "demo",\n  "params": {},\n  "rows": []\n}\n'
+
+
+class _Discard:
+    def write(self, text):
+        return len(text)
+
+
+def test_posterior_dump_memory_is_bounded():
+    # the whole dump is ~4.4 MB of text and 109 294 rows; rendering it row by
+    # row peaked at 13.6 MiB, the block renderer at about 6 MiB
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(_Discard()):
+            code = main(
+                ["posterior", "--x", "0110100", "--n", "17", "--format", "csv"]
+            )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 10 * 2**20
