@@ -28,9 +28,7 @@ from .clustering import (
 )
 from .core import Rle, check_bits, g_chain, rle_encode
 from .entropy import (
-    SHANNON,
     double_deletion_classes,
-    entropy,
     entropy_estimate_from_moments,
     g_chain_entropies,
     parse_measure,
@@ -43,13 +41,8 @@ from .exhaustive import (
     all_hamming_weights,
     all_weights,
 )
-from .hws import kappa_entropy_table, kappa_squared
-from .superspace import (
-    Posterior,
-    build_posterior,
-    total_masks,
-    uncertainty_cardinality,
-)
+from .hws import kappa_entropy_table, pattern_sweep, sorted_by_kappa
+from .superspace import Posterior, build_posterior
 from .verify import run_all, suite_names
 
 
@@ -336,40 +329,23 @@ def cmd_posterior(args) -> int:
 
 def cmd_entropy_scan(args) -> int:
     measures = [parse_measure(tok) for tok in args.measures.split(",") if tok]
-    if args.m < 1 or args.m > args.n:
-        raise ValueError(f"need 1 <= m <= n, got n={args.n} m={args.m}")
-    columns = ["x", "kappa2"] + [str(ms) for ms in measures]
-    rows = []
-    for i in range(1 << args.m):
-        x = format(i, f"0{args.m}b")
-        p = build_posterior(x, args.n, max_bits=args.max_bits)
-        rows.append(
-            [x, kappa_squared(x)] + [repr(entropy(p, ms)) for ms in measures]
-        )
+    rows = pattern_sweep(args.m, args.n, measures, max_bits=args.max_bits)
     emit(
         args,
         "entropy-scan",
         {"n": args.n, "m": args.m, "measures": args.measures},
-        columns,
+        ["x", "kappa2"] + [str(ms) for ms in measures],
         rows,
     )
     return 0
 
 
 def cmd_kappa(args) -> int:
-    if args.m < 1:
-        raise ValueError("m must be >= 1")
     if args.n is not None:
-        table = kappa_entropy_table(args.n, args.m, max_bits=args.max_bits)
-        rows = [[x, k2, repr(h)] for x, k2, h in table]
+        rows = kappa_entropy_table(args.n, args.m, max_bits=args.max_bits)
         columns = ["x", "kappa2", "shannon"]
     else:
-        pairs = sorted(
-            ((format(i, f"0{args.m}b"), kappa_squared(format(i, f"0{args.m}b")))
-             for i in range(1 << args.m)),
-            key=lambda row: (-row[1], row[0]),
-        )
-        rows = [[x, k2] for x, k2 in pairs]
+        rows = sorted_by_kappa(pattern_sweep(args.m, max_bits=args.max_bits))
         columns = ["x", "kappa2"]
     emit(args, "kappa", {"m": args.m, "n": args.n}, columns, rows)
     return 0
@@ -428,14 +404,9 @@ def cmd_classes(args) -> int:
     x_rle = parse_rle(args.x_rle)
     make = single_deletion_classes if args.deletions == 1 else double_deletion_classes
     census = make(x_rle)
-    strings_ok = census.string_count() == uncertainty_cardinality(
-        census.n, census.m
-    )
-    masks_ok = census.mask_count() == total_masks(census.n, census.m)
-    rows = [
-        [w, mult, str(strings_ok).lower(), str(masks_ok).lower()]
-        for w, mult in census.classes
-    ]
+    # one verdict fills both columns: the census is checked as a whole
+    ok = str(census.identities_hold()).lower()
+    rows = [[w, mult, ok, ok] for w, mult in census.classes]
     emit(
         args,
         "classes",

@@ -138,17 +138,21 @@ def all_hamming_weights(n: int) -> np.ndarray:
 
 
 def greedy_match_stats(x: str, n: int, max_bits: int | None = None):
-    """Canonical-embedding facts for every y of length n.
-
-    Returns ``(present, maximal)`` boolean arrays: ``present[y]`` iff x embeds
-    in y at all (the greedy left-to-right match completes), ``maximal[y]`` iff
-    the canonical embedding's last position is position n.  The greedy match
-    ends at position n exactly when x embeds in y but not in y[:-1].  For
-    nonempty x, appending the symbol x does not end with leaves every count
-    unchanged, so x embeds in y[:-1] iff it embeds in that extension of y[:-1].
-    """
+    """``(present, maximal)`` for every y of length n; see ``canonical_ends_last``."""
     present = all_weights(x, n, max_bits=max_bits) > 0
-    if not x or n == 0:
-        return present, np.zeros_like(present)
+    return present, canonical_ends_last(x, present)
+
+
+def canonical_ends_last(x: str, present: np.ndarray) -> np.ndarray:
+    """``maximal[y]`` iff the canonical embedding of x in y ends at position n.
+
+    ``present[y]`` says whether x embeds in y at all (the greedy left-to-right
+    match completes).  The greedy match ends at position n exactly when x
+    embeds in y but not in y[:-1].  For nonempty x, appending the symbol x
+    does not end with leaves every count unchanged, so x embeds in y[:-1] iff
+    it embeds in that extension of y[:-1].
+    """
+    if not x or len(present) == 1:  # empty x, or n = 0
+        return np.zeros_like(present)
     in_prefix = present[1 - int(x[-1]) :: 2]
-    return present, present & ~np.repeat(in_prefix, 2)
+    return present & ~np.repeat(in_prefix, 2)

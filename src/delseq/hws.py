@@ -11,8 +11,9 @@ from dataclasses import dataclass
 from math import factorial
 
 from .core import binomial, check_bits
-from .entropy import SHANNON, entropy
-from .superspace import build_posterior
+from .entropy import SHANNON, entropy_from_classes
+from .exhaustive import check_enumerable
+from .superspace import build_posterior, weight_classes
 
 
 @dataclass(frozen=True)
@@ -106,6 +107,38 @@ def omega_variance_asymptotic(n: int, x: str) -> float:
     return coefficient * n ** (2 * m - 1) / (2 ** (2 * m) * factorial(2 * m - 1))
 
 
+def pattern_sweep(
+    m: int, n: int | None = None, measures=(), max_bits: int | None = None
+) -> list[tuple]:
+    """(x, kappa^2(x), *entropies) for every x of length m, in binary order.
+
+    With n, each x's posterior at length n is built once and every measure
+    is evaluated from its one weight histogram (a float, so str() prints its
+    repr()); without n no posterior is built and the rows are (x, kappa^2(x)).
+    The 2^m patterns are held to the enumeration cap before any work starts.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if n is not None and m > n:
+        raise ValueError(f"need 1 <= m <= n, got n={n} m={m}")
+    check_enumerable(m, max_bits)
+    rows = []
+    for i in range(1 << m):
+        x = format(i, f"0{m}b")
+        row = (x, kappa_squared(x))
+        if n is not None:
+            p = build_posterior(x, n, max_bits=max_bits)
+            classes = weight_classes(p).classes
+            row += tuple(entropy_from_classes(classes, p.mu, ms) for ms in measures)
+        rows.append(row)
+    return rows
+
+
+def sorted_by_kappa(rows: list[tuple]) -> list[tuple]:
+    """Rows (x, kappa^2, ...) by descending autocorrelation, ties by x ascending."""
+    return sorted(rows, key=lambda row: (-row[1], row[0]))
+
+
 def kappa_entropy_table(
     n: int, m: int, max_bits: int | None = None
 ) -> list[tuple[str, int, float]]:
@@ -114,12 +147,4 @@ def kappa_entropy_table(
     Descending autocorrelation, ties broken by x ascending; empirically the
     entropy column comes out nondecreasing.
     """
-    if not 1 <= m <= n:
-        raise ValueError(f"need 1 <= m <= n, got n={n} m={m}")
-    rows = []
-    for i in range(1 << m):
-        x = format(i, f"0{m}b")
-        h = entropy(build_posterior(x, n, max_bits=max_bits), SHANNON)
-        rows.append((x, kappa_squared(x), h))
-    rows.sort(key=lambda row: (-row[1], row[0]))
-    return rows
+    return sorted_by_kappa(pattern_sweep(m, n, (SHANNON,), max_bits))

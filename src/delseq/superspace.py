@@ -88,9 +88,6 @@ class Posterior:
         """(y, omega_x(y)) pairs sorted by y as a binary number."""
         return tuple(zip(self.strings(), self.weights()))
 
-    def probabilities(self) -> list[float]:
-        return [w / self.mu for w in self.weights()]
-
     def __len__(self) -> int:
         return len(self.support)
 

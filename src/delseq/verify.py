@@ -40,7 +40,7 @@ from .entropy import (
     renyi,
     single_deletion_classes,
 )
-from .exhaustive import all_hamming_weights, all_weights, greedy_match_stats
+from .exhaustive import all_hamming_weights, all_weights, canonical_ends_last
 
 
 @dataclass
@@ -258,7 +258,7 @@ def suite_cluster_census(max_n: int, rng: random.Random) -> SuiteResult:
         for m in range(1, n + 1):
             for x in _strings(m):
                 w = all_weights(x, n)
-                _, maximal = greedy_match_stats(x, n)
+                maximal = canonical_ends_last(x, w > 0)
                 hx = x.count("1")
                 r.check(
                     sum(

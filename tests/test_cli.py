@@ -71,12 +71,23 @@ def test_csv_json_value_equivalence(capsys):
     assert [list(r.keys()) for r in doc["rows"]] == [header] * len(rows)
 
 
-def test_byte_identical_reruns(capsys):
+@pytest.fixture(scope="module")
+def verify_runs():
+    """(exit code, stdout) of two runs of `verify --max-n 4`, read by two tests."""
+    runs = []
+    for _ in range(2):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["verify", "--max-n", "4"])
+        runs.append((code, out.getvalue()))
+    return runs
+
+
+def test_byte_identical_reruns(capsys, verify_runs):
     first = run_cli(capsys, "entropy-scan", "--n", "6", "--m", "3")
     second = run_cli(capsys, "entropy-scan", "--n", "6", "--m", "3")
     assert first == second
-    v1 = run_cli(capsys, "verify", "--max-n", "4")
-    v2 = run_cli(capsys, "verify", "--max-n", "4")
+    v1, v2 = verify_runs
     assert v1 == v2
 
 
@@ -85,6 +96,9 @@ def test_exit_codes(capsys):
     assert code == 2
     code, _ = run_cli(capsys, "posterior", "--x", "1", "--n", "30")
     assert code == 3
+    # m > n is an invalid argument even where 2^m also exceeds the cap
+    assert run_cli(capsys, "entropy-scan", "--n", "3", "--m", "30")[0] == 2
+    assert run_cli(capsys, "kappa", "--m", "30", "--n", "3")[0] == 2
     with pytest.raises(SystemExit) as exc:
         main(["posterior", "--n", "2"])  # missing --x
     assert exc.value.code == 2
@@ -138,6 +152,15 @@ def test_kappa_sorted_descending(capsys):
     assert len(rows) == 16
 
 
+def test_kappa_table_obeys_cap(capsys, monkeypatch):
+    # the 2^m patterns of `kappa --m` are held to the bit cap before any work
+    assert run_cli(capsys, "kappa", "--m", "4", "--max-bits", "3") == (3, "")
+    code, out = run_cli(capsys, "kappa", "--m", "4", "--max-bits", "4")
+    assert code == 0 and len(parse_csv(out)[1]) == 16
+    monkeypatch.setenv("DELSEQ_MAX_BITS", "3")
+    assert run_cli(capsys, "kappa", "--m", "4") == (3, "")
+
+
 def test_clusters_methods_agree(capsys):
     code, out = run_cli(capsys, "clusters", "--x", "110", "--n", "5")
     assert code == 0
@@ -182,8 +205,8 @@ def test_estimate_within_bound(capsys):
     assert abs(exact - estimate) <= bound
 
 
-def test_verify_passes(capsys):
-    code, out = run_cli(capsys, "verify", "--max-n", "4")
+def test_verify_passes(verify_runs):
+    code, out = verify_runs[0]
     assert code == 0
     header, rows = parse_csv(out)
     assert header == ["suite", "checks", "failures", "status", "note"]

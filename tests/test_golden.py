@@ -2,7 +2,9 @@
 
 The digests come from an independent implementation (a per-column
 enumeration DP and a posterior of (y, weight) tuples), so every engine or
-posterior representation must reproduce their output byte for byte.
+posterior representation must reproduce their output byte for byte.  The
+kappa-only, repeated-measure and classes digests were recorded from the
+package before the pattern sweep was merged into one loop.
 """
 
 import hashlib
@@ -44,6 +46,16 @@ GOLDEN = [
      "3b1903adbac12c7673fded7313886b56c98568541202b55e50bc8346757a7805"),
     (("singletons", "--x", "10110", "--n", "5"),
      "abaa1299b34807bc6e0fee5cae7f53e65a9887461019e46d955c48cc5108be19"),
+    (("kappa", "--m", "4"),
+     "5032361922b81d89769d4274f71477a2b076827e96c1e7e7dc297655a3fad212"),
+    (("kappa", "--m", "5", "--format", "json"),
+     "31d464f662bb33d9a44cedd46491c13b6536ad1ac38b1963d6654451e7e9f7a5"),
+    (("entropy-scan", "--n", "6", "--m", "3", "--measures", "min,shannon,min"),
+     "fafc6f43e92896eeabe9a282d283c7087a9d894597999e68e95f57be9e9f85f9"),
+    (("classes", "--x-rle", "1,2,3", "--deletions", "1"),
+     "dd65c4d7be9585ce399a3398dc5d163c291dee2313032dcd77a3003a5198cc7e"),
+    (("classes", "--x-rle", "s=0,2,1,1", "--deletions", "2", "--format", "json"),
+     "9e35389b10c244a12f3d5899e8b382374849d5844ae667177639b09d794a64cd"),
 ]
 
 
