@@ -402,8 +402,10 @@ def cmd_singletons(args) -> int:
 
 def cmd_classes(args) -> int:
     x_rle = parse_rle(args.x_rle)
-    make = single_deletion_classes if args.deletions == 1 else double_deletion_classes
-    census = make(x_rle)
+    if args.deletions == 1:
+        census = single_deletion_classes(x_rle)
+    else:
+        census = double_deletion_classes(x_rle, max_bits=args.max_bits)
     # one verdict fills both columns: the census is checked as a whole
     ok = str(census.identities_hold()).lower()
     rows = [[w, mult, ok, ok] for w, mult in census.classes]

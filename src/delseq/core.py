@@ -8,6 +8,7 @@ integers; nothing here ever overflows or rounds.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -50,11 +51,7 @@ def binomial(n: int, k: int) -> int:
         return 1
     if n < k:
         return 0
-    result = 1
-    k = min(k, n - k)
-    for i in range(1, k + 1):
-        result = result * (n - i + 1) // i
-    return result
+    return math.comb(n, k)
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,12 @@ last bit regardless of evaluation order.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import Rle, binomial, check_bits, g_chain, rle_decode, rle_encode
-from .embeddings import count_embeddings_runs
+from .exhaustive import EnumerationCapExceeded, resolve_max_bits
 from .superspace import (
     Posterior,
     build_posterior,
@@ -171,38 +172,50 @@ def single_deletion_classes(x_rle: Rle) -> DeletionClasses:
     )
 
 
-def double_deletion_classes(x_rle: Rle) -> DeletionClasses:
-    """Weight census at n = m + 2, by constructing the supersequences.
+def double_deletion_classes(
+    x_rle: Rle, max_bits: int | None = None
+) -> DeletionClasses:
+    """Weight census at n = m + 2, by counting the masks.
 
-    The per-case bookkeeping of the two-insertion analysis double-counts
-    strings reachable through different insertion orders, so instead of
-    trusting per-case multiplicities we materialize every insertion result,
-    deduplicate, and weight each distinct string with the run-based counter.
+    A mask of x in a length-(m + 2) string y is the choice of the two
+    (0-based) positions i < j of y that x skips, together with the symbols
+    a, b at them.  Each of the mu = 4 C(m + 2, 2) choices builds exactly one
+    y = x[:i] + a + x[i:j-1] + b + x[j-1:], and every embedding of x in y is
+    the complement of exactly one choice, so y is built omega_x(y) times.
+    One count over the mu constructions gives every weight and a second
+    count gives the classes; no embedding counter and no dedup set take part.
+
+    The mask-count identity (weights sum to mu) therefore holds by
+    construction.  The string-count identity (the constructions reach every
+    one of the uncertainty_cardinality(m + 2, m) supersequences) is the real
+    check, applied by ``_checked``.  The independent oracles are in the
+    tests: the brute-force posterior census and, beyond its reach, the
+    distinct two-insertion strings weighed with ``count_embeddings_dp``.
+    The mu constructions are held to the bit cap before any work starts.
     """
     if x_rle.block_count == 0:
         raise ValueError("x must be nonempty")
+    m = x_rle.length
+    mu = total_masks(m + 2, m)
+    cap = resolve_max_bits(max_bits)
+    if mu > 1 << cap:
+        raise EnumerationCapExceeded(
+            f"counting {mu} masks exceeds the cap of {cap} bits"
+        )
     x = rle_decode(x_rle)
-    supers = {
-        y2
-        for y1 in _insertions(x)
-        for y2 in _insertions(y1)
-    }
-    counts: dict[int, int] = {}
-    for y in supers:
-        w = count_embeddings_runs(x, y)
-        counts[w] = counts.get(w, 0) + 1
+    weights = Counter(
+        x[:i] + a + x[i : j - 1] + b + x[j - 1 :]
+        for j in range(1, m + 2)
+        for i in range(j)
+        for a in "01"
+        for b in "01"
+    )
+    counts = Counter(weights.values())
     return _checked(
         DeletionClasses(
-            m=len(x), deletions=2, classes=tuple(sorted(counts.items(), reverse=True))
+            m=m, deletions=2, classes=tuple(sorted(counts.items(), reverse=True))
         )
     )
-
-
-def _insertions(s: str) -> set[str]:
-    """All distinct strings obtained from s by one symbol insertion."""
-    return {
-        s[:i] + c + s[i:] for i in range(len(s) + 1) for c in "01"
-    }
 
 
 def _checked(census: DeletionClasses) -> DeletionClasses:

@@ -8,6 +8,7 @@ the entropy ordering of patterns of equal length.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
 
 from .core import binomial, check_bits
@@ -36,8 +37,13 @@ class KappaMatrices:
         )
 
 
+@lru_cache(maxsize=64)
 def interleaving_matrix(m: int) -> tuple[tuple[int, ...], ...]:
-    """M[r][s] = C(r+s-2, r-1) * C(2m-r-s, m-r), 1-based indices."""
+    """M[r][s] = C(r+s-2, r-1) * C(2m-r-s, m-r), 1-based indices.
+
+    It depends on m alone, so it is built once per m and shared (immutable)
+    by every pattern of that length.
+    """
     return tuple(
         tuple(
             binomial(r + s - 2, r - 1) * binomial(2 * m - r - s, m - r)
@@ -63,14 +69,12 @@ def kappa_squared(x: str) -> int:
     check_bits(x)
     if not x:
         raise ValueError("x must be nonempty")
-    m = len(x)
-    total = 0
-    for r in range(1, m + 1):
-        xr = x[r - 1]
-        for s in range(1, m + 1):
-            if x[s - 1] == xr:
-                total += binomial(r + s - 2, r - 1) * binomial(2 * m - r - s, m - r)
-    return total
+    return sum(
+        v
+        for xr, row in zip(x, interleaving_matrix(len(x)))
+        for xs, v in zip(x, row)
+        if xs == xr
+    )
 
 
 def kappa_max(m: int) -> int:

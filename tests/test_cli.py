@@ -188,6 +188,18 @@ def test_classes_example(capsys):
     assert all(r[2] == "true" and r[3] == "true" for r in rows)
 
 
+def test_double_deletion_classes_obey_cap(capsys, monkeypatch):
+    # m = 10 has mu = 4 C(12, 2) = 264 masks: one bit above 2^8, below 2^9
+    argv = ("classes", "--x-rle", "10", "--deletions", "2")
+    assert run_cli(capsys, *argv, "--max-bits", "8") == (3, "")
+    code, out = run_cli(capsys, *argv, "--max-bits", "9")
+    assert code == 0 and parse_csv(out)[1][0][:2] == ["66", "1"]
+    monkeypatch.setenv("DELSEQ_MAX_BITS", "8")
+    assert run_cli(capsys, *argv) == (3, "")
+    monkeypatch.setenv("DELSEQ_MAX_BITS", "9")
+    assert run_cli(capsys, *argv)[0] == 0
+
+
 def test_gchain_decreasing(capsys):
     code, out = run_cli(capsys, "gchain", "--x", "101010", "--n", "8")
     assert code == 0

@@ -97,6 +97,20 @@ def test_binomial_matches_factorial_form():
             assert binomial(n, k) == comb(n, k)
 
 
+def test_binomial_conventions_and_pascal_rule():
+    for n in range(-5, 61):
+        for k in range(-3, 63):
+            if k < 0:
+                assert binomial(n, k) == 0
+            elif k == 0:
+                assert binomial(n, k) == 1
+            elif n < k:
+                assert binomial(n, k) == 0
+            if n >= 1:
+                # C(n-1, 0) = 1 for n - 1 < 0 breaks the rule at n <= 0, k = 1
+                assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
+
+
 def test_apply_g_merges_first_two_runs():
     assert apply_g(rle_encode("1001110")) == rle_encode("0001110")
     assert apply_g(Rle(0, (7,))) == Rle(0, (7,))

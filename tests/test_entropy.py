@@ -14,6 +14,7 @@ from delseq import (
     Measure,
     build_posterior,
     complement,
+    count_embeddings_dp,
     delta1,
     double_deletion_classes,
     entropy,
@@ -173,6 +174,25 @@ def test_double_deletion_classes_match_brute_force():
             brute = weight_classes(build_posterior(x, m + 2))
             assert census.classes == brute.classes
             assert census.identities_hold()
+
+
+def test_double_deletion_classes_match_insertion_oracle():
+    # beyond the posterior's reach: every distinct string two insertions away
+    # from x, each weighed with the counting DP
+    def insertions(s):
+        return {s[:i] + c + s[i:] for i in range(len(s) + 1) for c in "01"}
+
+    rng = random.Random(41)
+    for m in range(13, 41):
+        x = "".join(rng.choice("01") for _ in range(m))
+        supers = {y2 for y1 in insertions(x) for y2 in insertions(y1)}
+        counts = {}
+        for y in supers:
+            w = count_embeddings_dp(x, y)
+            counts[w] = counts.get(w, 0) + 1
+        assert double_deletion_classes(rle_encode(x)).classes == tuple(
+            sorted(counts.items(), reverse=True)
+        )
 
 
 @given(compositions)

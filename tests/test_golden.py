@@ -4,7 +4,9 @@ The digests come from an independent implementation (a per-column
 enumeration DP and a posterior of (y, weight) tuples), so every engine or
 posterior representation must reproduce their output byte for byte.  The
 kappa-only, repeated-measure and classes digests were recorded from the
-package before the pattern sweep was merged into one loop.
+package before the pattern sweep was merged into one loop; the m = 30 and
+m = 40 double-deletion censuses were recorded from the package while it still
+weighed every distinct two-insertion string with the run-based counter.
 """
 
 import hashlib
@@ -56,6 +58,17 @@ GOLDEN = [
      "dd65c4d7be9585ce399a3398dc5d163c291dee2313032dcd77a3003a5198cc7e"),
     (("classes", "--x-rle", "s=0,2,1,1", "--deletions", "2", "--format", "json"),
      "9e35389b10c244a12f3d5899e8b382374849d5844ae667177639b09d794a64cd"),
+    (("classes", "--x-rle", "3,1,2,5,1,1,4,2,1,3,2,1,4", "--deletions", "2"),
+     "5fa1374097102e0b3e6aa071430114bdd6d243026f4d68679748f61b693f20d3"),
+    (("classes", "--x-rle", "3,1,2,5,1,1,4,2,1,3,2,1,4", "--deletions", "2",
+      "--format", "json"),
+     "defaf0b1d6c2e5b73a9f1098e72a7068de26a1fd4465704025544439aeb5c46d"),
+    (("classes", "--x-rle", "s=0,2,1,1,3,1,2,4,1,1,2,5,1,3,2,1,1,3,2,4",
+      "--deletions", "2"),
+     "55100d08546294385e10b5a5306a9a1b6bd5144da670cfef68705bf02d287506"),
+    (("classes", "--x-rle", "s=0,2,1,1,3,1,2,4,1,1,2,5,1,3,2,1,1,3,2,4",
+      "--deletions", "2", "--format", "json"),
+     "c26d9cd5805cf27ce2b070e8c595105ae425db508890287049796b25057c3c18"),
 ]
 
 

@@ -1,5 +1,7 @@
 """Autocorrelation, asymptotic moments and the kappa-entropy table."""
 
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -185,3 +187,18 @@ def test_interleaving_matrix_total_is_kappa_max():
     for m in range(1, 9):
         total = sum(sum(row) for row in interleaving_matrix(m))
         assert total == kappa_max(m) == m * binomial(2 * m - 1, m)
+
+
+def test_kappa_total_over_all_patterns():
+    # sum_x [x_r = x_s] is 2^m on the diagonal and 2^(m-1) off it, so the
+    # kappa^2 of all 2^m patterns add up to 2^(m-1) (sum M + trace M); M is
+    # built here from math.comb, independently of hws.interleaving_matrix
+    for m in range(1, 11):
+        M = [
+            [comb(r + s - 2, r - 1) * comb(2 * m - r - s, m - r)
+             for s in range(1, m + 1)]
+            for r in range(1, m + 1)
+        ]
+        total = sum(kappa_squared(x) for x in all_strings(m))
+        trace = sum(M[r][r] for r in range(m))
+        assert total == 2 ** (m - 1) * (sum(map(sum, M)) + trace)
