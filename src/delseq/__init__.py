@@ -34,23 +34,15 @@ from .embeddings import (
     enumerate_masks,
 )
 from .entropy import (
-    HARTLEY,
-    MIN_ENTROPY,
-    SHANNON,
-    DeletionClasses,
-    Measure,
     MomentEstimate,
     delta1,
     double_deletion_classes,
-    entropy,
     entropy_estimate_from_moments,
-    entropy_from_classes,
     g_chain_entropies,
     min_minentropy_closed,
     min_renyi2_closed,
     min_shannon_closed,
     posterior_shannon,
-    renyi,
     single_deletion_classes,
 )
 from .exhaustive import (
@@ -67,6 +59,10 @@ from .hws import (
     omega_variance_asymptotic,
 )
 from .superspace import (
+    HARTLEY,
+    MIN_ENTROPY,
+    SHANNON,
+    Measure,
     Posterior,
     WeightClasses,
     build_posterior,
@@ -74,6 +70,7 @@ from .superspace import (
     distinct_subsequence_profile,
     expected_distinct_subsequences,
     masks_per_cluster,
+    renyi,
     total_masks,
     uncertainty_cardinality,
     weight_classes,

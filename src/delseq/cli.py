@@ -31,8 +31,6 @@ from .entropy import (
     double_deletion_classes,
     entropy_estimate_from_moments,
     g_chain_entropies,
-    parse_measure,
-    posterior_shannon,
     single_deletion_classes,
 )
 from .exhaustive import (
@@ -42,7 +40,7 @@ from .exhaustive import (
     all_weights,
 )
 from .hws import kappa_entropy_table, pattern_sweep, sorted_by_kappa
-from .superspace import Posterior, build_posterior
+from .superspace import Posterior, build_posterior, parse_measure, weight_classes
 from .verify import run_all, suite_names
 
 
@@ -444,8 +442,9 @@ def cmd_estimate(args) -> int:
     check_bits(args.x)
     if not 1 <= len(args.x) <= args.n:
         raise ValueError(f"need 1 <= |x| <= n, got |x|={len(args.x)} n={args.n}")
-    est = entropy_estimate_from_moments(args.x, args.n, max_bits=args.max_bits)
-    exact = posterior_shannon(args.x, args.n, max_bits=args.max_bits)
+    wc = weight_classes(args.x, args.n, max_bits=args.max_bits)
+    est = entropy_estimate_from_moments(wc)
+    exact = wc.entropy()
     emit(
         args,
         "estimate",

@@ -1,91 +1,21 @@
-"""Entropy measures over posteriors and the exact finite-deletion machinery.
+"""Entropies of uncertainty sets: closed forms, censuses and estimates.
 
-All entropies are in bits.  Probabilities are the exact rationals
-weight / mu, converted to double precision one term at a time and
-accumulated with compensated summation, so results are reproducible to the
-last bit regardless of evaluation order.
+Every entropy here is ``WeightClasses.entropy`` of a weight histogram, in
+bits: one from the whole-space engine (``weight_classes``) or one counted
+directly at one or two deletions (the censuses).  The measures themselves
+are defined next to the histogram, in ``superspace``.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import Rle, binomial, check_bits, g_chain, rle_decode, rle_encode
 from .exhaustive import EnumerationCapExceeded, resolve_max_bits
-from .superspace import (
-    Posterior,
-    build_posterior,
-    total_masks,
-    uncertainty_cardinality,
-    weight_classes,
-)
+from .superspace import SHANNON, Measure, WeightClasses, total_masks, weight_classes
 
 _LN2 = math.log(2)
-
-
-@dataclass(frozen=True)
-class Measure:
-    """An entropy measure: Shannon, Renyi of order alpha, min- or Hartley."""
-
-    kind: str
-    alpha: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("shannon", "renyi", "min", "hartley"):
-            raise ValueError(f"unknown entropy measure {self.kind!r}")
-        if self.kind == "renyi":
-            if self.alpha is None or self.alpha <= 0 or self.alpha == 1:
-                raise ValueError("renyi needs alpha > 0, alpha != 1")
-        elif self.alpha is not None:
-            raise ValueError(f"{self.kind} takes no alpha")
-
-    def __str__(self) -> str:
-        if self.kind == "renyi":
-            return "renyi2" if self.alpha == 2 else f"renyi:{self.alpha:g}"
-        return self.kind
-
-
-SHANNON = Measure("shannon")
-MIN_ENTROPY = Measure("min")
-HARTLEY = Measure("hartley")
-
-
-def renyi(alpha: float) -> Measure:
-    return Measure("renyi", alpha)
-
-
-def parse_measure(token: str) -> Measure:
-    """Parse 'shannon', 'min', 'hartley', 'renyi2' or 'renyi:<alpha>'."""
-    token = token.strip().lower()
-    if token == "renyi2":
-        return renyi(2.0)
-    if token.startswith("renyi:"):
-        return renyi(float(token.split(":", 1)[1]))
-    return Measure(token)
-
-
-def entropy_from_classes(
-    classes, mu: int, measure: Measure = SHANNON
-) -> float:
-    """Entropy of the distribution {weight/mu} given a (weight, mult) histogram."""
-    if measure.kind == "hartley":
-        return math.log2(sum(mult for _, mult in classes))
-    if measure.kind == "min":
-        return -math.log2(max(w for w, _ in classes) / mu)
-    if measure.kind == "shannon":
-        return -math.fsum(
-            mult * (w / mu) * math.log2(w / mu) for w, mult in classes
-        )
-    alpha = measure.alpha
-    power_sum = math.fsum(mult * (w / mu) ** alpha for w, mult in classes)
-    return math.log2(power_sum) / (1.0 - alpha)
-
-
-def entropy(p: Posterior, measure: Measure = SHANNON) -> float:
-    """Entropy of the posterior under the requested measure."""
-    return entropy_from_classes(weight_classes(p).classes, p.mu, measure)
 
 
 def min_shannon_closed(n: int, m: int) -> float:
@@ -119,38 +49,7 @@ def min_minentropy_closed(n: int, m: int) -> int:
     return n - m
 
 
-@dataclass(frozen=True)
-class DeletionClasses:
-    """Weight census of the supersequences one or two insertions away from x."""
-
-    m: int
-    deletions: int
-    classes: tuple[tuple[int, int], ...]
-
-    @property
-    def n(self) -> int:
-        return self.m + self.deletions
-
-    def string_count(self) -> int:
-        return sum(mult for _, mult in self.classes)
-
-    def mask_count(self) -> int:
-        return sum(w * mult for w, mult in self.classes)
-
-    def identities_hold(self) -> bool:
-        """The census covers every supersequence and every mask exactly once."""
-        return (
-            self.string_count() == uncertainty_cardinality(self.n, self.m)
-            and self.mask_count() == total_masks(self.n, self.m)
-        )
-
-    def entropy(self, measure: Measure = SHANNON) -> float:
-        return entropy_from_classes(
-            self.classes, total_masks(self.n, self.m), measure
-        )
-
-
-def single_deletion_classes(x_rle: Rle) -> DeletionClasses:
+def single_deletion_classes(x_rle: Rle) -> WeightClasses:
     """Weight census at n = m + 1.
 
     Lengthening run i gives one string of weight k_i + 1; every run split or
@@ -166,7 +65,7 @@ def single_deletion_classes(x_rle: Rle) -> DeletionClasses:
     singles = m - len(k) + 2
     counts[1] = counts.get(1, 0) + singles
     return _checked(
-        DeletionClasses(
+        WeightClasses(
             m=m, deletions=1, classes=tuple(sorted(counts.items(), reverse=True))
         )
     )
@@ -174,7 +73,7 @@ def single_deletion_classes(x_rle: Rle) -> DeletionClasses:
 
 def double_deletion_classes(
     x_rle: Rle, max_bits: int | None = None
-) -> DeletionClasses:
+) -> WeightClasses:
     """Weight census at n = m + 2, by counting the masks.
 
     A mask of x in a length-(m + 2) string y is the choice of the two
@@ -212,13 +111,13 @@ def double_deletion_classes(
     )
     counts = Counter(weights.values())
     return _checked(
-        DeletionClasses(
+        WeightClasses(
             m=m, deletions=2, classes=tuple(sorted(counts.items(), reverse=True))
         )
     )
 
 
-def _checked(census: DeletionClasses) -> DeletionClasses:
+def _checked(census: WeightClasses) -> WeightClasses:
     # the string-count and weight-sum identities are non-negotiable: a census
     # that misses or double-counts anything must never leave this module
     if not census.identities_hold():
@@ -250,7 +149,7 @@ def g_chain_entropies(
     """Entropies along x, g(x), g(g(x)), ... down to the single-run string."""
     check_bits(x)
     return [
-        entropy(build_posterior(rle_decode(r), n, max_bits=max_bits), measure)
+        weight_classes(rle_decode(r), n, max_bits=max_bits).entropy(measure)
         for r in g_chain(rle_encode(x))
     ]
 
@@ -260,9 +159,7 @@ class MomentEstimate(NamedTuple):
     bound: float
 
 
-def entropy_estimate_from_moments(
-    x: str, n: int, max_bits: int | None = None
-) -> MomentEstimate:
+def entropy_estimate_from_moments(wc: WeightClasses) -> MomentEstimate:
     """Estimate H_n(x) from the first three moments of the weight distribution.
 
     With Omega the weight of a supersequence drawn uniformly from the
@@ -270,20 +167,30 @@ def entropy_estimate_from_moments(
     expectation is expanded to third order around E(Omega).  The returned
     bound dominates the Taylor remainder via the fourth central moment and
     is normalized like the estimate, so |estimate - H| <= bound always.
+
+    Each central moment sums the float (w - mean)**k once per string.  Every
+    such float is a / d with d a power of two, so over the largest d, D, the
+    class terms mult * a * (D // d) are exact integers; their total over D is
+    rounded once (int true division is correctly rounded), which is the
+    correctly rounded sum over the strings that ``fsum`` gives.
     """
-    p = build_posterior(x, n, max_bits=max_bits)
-    weights = p.weights()
-    count = len(weights)
-    mean = p.mu / count
-    v = math.fsum((w - mean) ** 2 for w in weights) / count
-    t3 = math.fsum((w - mean) ** 3 for w in weights) / count
-    t4 = math.fsum((w - mean) ** 4 for w in weights) / count
+    count = wc.string_count()
+    mean = wc.mu / count
+
+    def central(k: int) -> float:
+        terms = [
+            (mult, *((w - mean) ** k).as_integer_ratio()) for w, mult in wc.classes
+        ]
+        common = max(d for _, _, d in terms)
+        return sum(mult * a * (common // d) for mult, a, d in terms) / common / count
+
+    v, t3, t4 = central(2), central(3), central(4)
     inner = mean * math.log(mean) + v / (2 * mean) - t3 / (6 * mean**2)
-    estimate = math.log2(p.mu) - inner / (mean * _LN2)
+    estimate = math.log2(wc.mu) - inner / (mean * _LN2)
     bound = 5 * t4 / (3 * mean**4 * _LN2)
     return MomentEstimate(estimate=estimate, bound=bound)
 
 
 def posterior_shannon(x: str, n: int, max_bits: int | None = None) -> float:
     """Exact Shannon entropy H_n(x)."""
-    return entropy(build_posterior(x, n, max_bits=max_bits), SHANNON)
+    return weight_classes(x, n, max_bits=max_bits).entropy()

@@ -72,11 +72,6 @@ def check_int64_exact(n: int, m: int) -> None:
         )
 
 
-def string_of_index(i: int, n: int) -> str:
-    """The length-n bit string whose MSB-first value is i."""
-    return format(i, f"0{n}b") if n else ""
-
-
 def _prefix_counts(masks: np.ndarray, k: int) -> np.ndarray:
     """P[u, i] = omega_{x[:i]}(u) for every u of length k, i = 0..m.
 
@@ -135,12 +130,6 @@ def all_hamming_weights(n: int) -> np.ndarray:
     """h(y) for every y of length n, as the outer sum of both halves' counts."""
     k = n // 2
     return np.add.outer(_popcounts(k), _popcounts(n - k)).reshape(-1)
-
-
-def greedy_match_stats(x: str, n: int, max_bits: int | None = None):
-    """``(present, maximal)`` for every y of length n; see ``canonical_ends_last``."""
-    present = all_weights(x, n, max_bits=max_bits) > 0
-    return present, canonical_ends_last(x, present)
 
 
 def canonical_ends_last(x: str, present: np.ndarray) -> np.ndarray:

@@ -12,9 +12,8 @@ from functools import lru_cache
 from math import factorial
 
 from .core import binomial, check_bits
-from .entropy import SHANNON, entropy_from_classes
 from .exhaustive import check_enumerable
-from .superspace import build_posterior, weight_classes
+from .superspace import SHANNON, weight_classes
 
 
 @dataclass(frozen=True)
@@ -116,9 +115,9 @@ def pattern_sweep(
 ) -> list[tuple]:
     """(x, kappa^2(x), *entropies) for every x of length m, in binary order.
 
-    With n, each x's posterior at length n is built once and every measure
-    is evaluated from its one weight histogram (a float, so str() prints its
-    repr()); without n no posterior is built and the rows are (x, kappa^2(x)).
+    With n, each x's weight histogram at length n is taken once and every
+    measure is evaluated from it (a float, so str() prints its repr());
+    without n nothing is enumerated and the rows are (x, kappa^2(x)).
     The 2^m patterns are held to the enumeration cap before any work starts.
     """
     if m < 1:
@@ -131,9 +130,8 @@ def pattern_sweep(
         x = format(i, f"0{m}b")
         row = (x, kappa_squared(x))
         if n is not None:
-            p = build_posterior(x, n, max_bits=max_bits)
-            classes = weight_classes(p).classes
-            row += tuple(entropy_from_classes(classes, p.mu, ms) for ms in measures)
+            wc = weight_classes(x, n, max_bits=max_bits)
+            row += tuple(wc.entropy(ms) for ms in measures)
         rows.append(row)
     return rows
 

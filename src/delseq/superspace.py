@@ -1,14 +1,16 @@
-"""The uncertainty set, its posterior distribution and subsequence statistics.
+"""The uncertainty set, its weight histogram, entropies and subsequence statistics.
 
 For a received string x of length m, the uncertainty set contains every
 length-n string y that can project onto x; the posterior over it weights
 each y by its embedding count omega_x(y), normalized by
-mu = C(n,m) * 2^(n-m).
+mu = C(n,m) * 2^(n-m).  Every entropy is a function of the histogram of
+those weights (``WeightClasses``); only the per-string dump needs the
+posterior itself (``Posterior``).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from math import fsum
 
 import numpy as np
 
@@ -41,6 +43,123 @@ def _check_nm(n: int, m: int) -> None:
         raise ValueError(f"need 0 <= m <= n, got n={n} m={m}")
 
 
+@dataclass(frozen=True)
+class Measure:
+    """An entropy measure: Shannon, Renyi of order alpha, min- or Hartley."""
+
+    kind: str
+    alpha: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("shannon", "renyi", "min", "hartley"):
+            raise ValueError(f"unknown entropy measure {self.kind!r}")
+        if self.kind == "renyi":
+            if self.alpha is None or self.alpha <= 0 or self.alpha == 1:
+                raise ValueError("renyi needs alpha > 0, alpha != 1")
+            if not math.isfinite(self.alpha):
+                raise ValueError(f"renyi needs a finite alpha, got {self.alpha}")
+        elif self.alpha is not None:
+            raise ValueError(f"{self.kind} takes no alpha")
+
+    def __str__(self) -> str:
+        if self.kind == "renyi":
+            return "renyi2" if self.alpha == 2 else f"renyi:{self.alpha:g}"
+        return self.kind
+
+
+SHANNON = Measure("shannon")
+MIN_ENTROPY = Measure("min")
+HARTLEY = Measure("hartley")
+
+
+def renyi(alpha: float) -> Measure:
+    return Measure("renyi", alpha)
+
+
+def parse_measure(token: str) -> Measure:
+    """Parse 'shannon', 'min', 'hartley', 'renyi2' or 'renyi:<alpha>'."""
+    token = token.strip().lower()
+    if token == "renyi2":
+        return renyi(2.0)
+    if token.startswith("renyi:"):
+        return renyi(float(token.split(":", 1)[1]))
+    return Measure(token)
+
+
+@dataclass(frozen=True)
+class WeightClasses:
+    """The weight histogram of the uncertainty set of a length-m string.
+
+    ``classes`` holds the (weight, multiplicity) pairs of every length-n
+    supersequence, n = m + deletions, heaviest class first; ``mu`` is the
+    exact normalizer, so a class's probability is weight/mu.  It is what
+    every entropy and census result is computed from, whether it comes from
+    the whole-space engine (``weight_classes``) or a deletion census.
+    """
+
+    m: int
+    deletions: int
+    classes: tuple[tuple[int, int], ...]
+
+    @property
+    def n(self) -> int:
+        return self.m + self.deletions
+
+    @property
+    def mu(self) -> int:
+        return total_masks(self.n, self.m)
+
+    def string_count(self) -> int:
+        return sum(mult for _, mult in self.classes)
+
+    def mask_count(self) -> int:
+        return sum(w * mult for w, mult in self.classes)
+
+    def identities_hold(self) -> bool:
+        """The histogram covers every supersequence and every mask exactly once."""
+        return (
+            self.string_count() == uncertainty_cardinality(self.n, self.m)
+            and self.mask_count() == self.mu
+        )
+
+    def entropy(self, measure: Measure = SHANNON) -> float:
+        """Entropy in bits of the distribution {weight/mu}.
+
+        Each class's term is converted to double precision once and the terms
+        are accumulated with compensated summation, so the result does not
+        depend on the order of the classes.
+        """
+        classes, mu = self.classes, self.mu
+        if measure.kind == "hartley":
+            return math.log2(self.string_count())
+        if measure.kind == "min":
+            return -math.log2(max(w for w, _ in classes) / mu)
+        if measure.kind == "shannon":
+            return -math.fsum(
+                mult * (w / mu) * math.log2(w / mu) for w, mult in classes
+            )
+        alpha = measure.alpha
+        power_sum = math.fsum(mult * (w / mu) ** alpha for w, mult in classes)
+        return math.log2(power_sum) / (1.0 - alpha)
+
+
+def weight_classes(
+    x: str, n: int, max_bits: int | None = None
+) -> WeightClasses:
+    """The weight histogram of x over all length-n strings, from the engine."""
+    check_bits(x)
+    _check_nm(n, len(x))
+    weights = all_weights(x, n, max_bits=max_bits)
+    # strings x does not embed in are outside the set; dropping them before
+    # the sort, not after, keeps it to the support
+    values, counts = np.unique(weights[weights > 0], return_counts=True)
+    return WeightClasses(
+        m=len(x),
+        deletions=n - len(x),
+        classes=tuple(zip(values[::-1].tolist(), counts[::-1].tolist())),
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class Posterior:
     """The weighted uncertainty set for x at supersequence length n.
@@ -48,9 +167,10 @@ class Posterior:
     ``support`` holds, in ascending order, the MSB-first index of every
     length-n y with at least one embedding, and ``omega`` the int64 weight
     omega_x(y) of each; ``mu`` is the exact normalizer, so probabilities are
-    weight/mu.  ``len(p)`` is the support size.  The (y, weight) pairs are
-    built only when asked for, through ``entries`` or ``strings()``, and the
-    digits of y in bulk through ``digits()``.
+    weight/mu.  ``len(p)`` is the support size.  Only the ``posterior`` dump
+    needs one row per y: everything else reads ``weight_classes``.  The
+    digits of y are built in bulk through ``digits()``, and as strings
+    through ``strings()``.
     """
 
     x: str
@@ -62,10 +182,6 @@ class Posterior:
     def __post_init__(self) -> None:
         self.support.flags.writeable = False
         self.omega.flags.writeable = False
-
-    def weights(self) -> list[int]:
-        """The weights as Python ints, in support order."""
-        return self.omega.tolist()
 
     def digits(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         """The bits of y, MSB first, as ASCII '0'/'1' bytes for support[start:stop].
@@ -83,26 +199,8 @@ class Posterior:
             return [""] * len(self)
         return [y.decode() for y in self.digits().view(f"S{self.n}").ravel().tolist()]
 
-    @property
-    def entries(self) -> tuple[tuple[str, int], ...]:
-        """(y, omega_x(y)) pairs sorted by y as a binary number."""
-        return tuple(zip(self.strings(), self.weights()))
-
     def __len__(self) -> int:
         return len(self.support)
-
-
-@dataclass(frozen=True)
-class WeightClasses:
-    """Multiset of (weight, multiplicity) pairs, heaviest class first."""
-
-    classes: tuple[tuple[int, int], ...]
-
-    def string_count(self) -> int:
-        return sum(mult for _, mult in self.classes)
-
-    def mask_count(self) -> int:
-        return sum(w * mult for w, mult in self.classes)
 
 
 def build_posterior(x: str, n: int, max_bits: int | None = None) -> Posterior:
@@ -114,12 +212,6 @@ def build_posterior(x: str, n: int, max_bits: int | None = None) -> Posterior:
     return Posterior(
         x=x, n=n, support=support, omega=weights[support], mu=total_masks(n, len(x))
     )
-
-
-def weight_classes(p: Posterior) -> WeightClasses:
-    """Histogram of the posterior's weights."""
-    values, counts = np.unique(p.omega, return_counts=True)
-    return WeightClasses(tuple(zip(values[::-1].tolist(), counts[::-1].tolist())))
 
 
 def count_distinct_subsequences(y: str, m: int) -> int:
@@ -158,4 +250,4 @@ def expected_distinct_subsequences(n: int, t: int) -> float:
     """
     if not 0 <= t <= n:
         raise ValueError(f"need 0 <= t <= n, got t={t} n={n}")
-    return fsum(binomial(n - t - 1 + i, i) * 0.5**i for i in range(t + 1))
+    return math.fsum(binomial(n - t - 1 + i, i) * 0.5**i for i in range(t + 1))

@@ -10,9 +10,11 @@ than failures.
 """
 from __future__ import annotations
 
+import copy
 import math
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,19 +30,16 @@ from .core import (
     rle_encode,
 )
 from .entropy import (
-    MIN_ENTROPY,
     delta1,
     double_deletion_classes,
-    entropy,
     entropy_estimate_from_moments,
     min_minentropy_closed,
     min_renyi2_closed,
     min_shannon_closed,
-    posterior_shannon,
-    renyi,
     single_deletion_classes,
 )
 from .exhaustive import all_hamming_weights, all_weights, canonical_ends_last
+from .superspace import MIN_ENTROPY, renyi
 
 
 @dataclass
@@ -212,19 +211,70 @@ def suite_embeddings_partition(max_n: int, rng: random.Random) -> SuiteResult:
 
 
 def suite_posterior_laws(max_n: int, rng: random.Random) -> SuiteResult:
-    r = SuiteResult("posterior-laws")
+    return copy.deepcopy(_weight_vector_suites(max_n)[0])
+
+
+def suite_cluster_census(max_n: int, rng: random.Random) -> SuiteResult:
+    return copy.deepcopy(_weight_vector_suites(max_n)[1])
+
+
+@lru_cache(maxsize=1)
+def _weight_vector_suites(max_n: int) -> tuple[SuiteResult, SuiteResult]:
+    """posterior-laws and cluster-census in one pass over every (x, n <= 12).
+
+    Both suites read the same weight vector, so it is computed once per
+    (x, n); each suite's checks run in their own order, and each caller gets
+    its own copy of the result.
+    """
+    laws = SuiteResult("posterior-laws")
+    census = SuiteResult("cluster-census")
     for n in range(1, min(max_n, 12) + 1):
+        ham = all_hamming_weights(n)
         for m in range(1, n + 1):
             card = superspace.uncertainty_cardinality(n, m)
             mu = superspace.total_masks(n, m)
             for x in _strings(m):
                 w = all_weights(x, n)
                 support = int(np.count_nonzero(w))
-                r.check(support == card, f"|Y| wrong for x={x!r} n={n}")
-                r.check(int(w.sum()) == mu, f"mask total wrong for x={x!r} n={n}")
-            const = superspace.weight_classes(
-                superspace.build_posterior("0" * m, n)
-            ).classes
+                laws.check(support == card, f"|Y| wrong for x={x!r} n={n}")
+                laws.check(int(w.sum()) == mu, f"mask total wrong for x={x!r} n={n}")
+                maximal = canonical_ends_last(x, w > 0)
+                hx = x.count("1")
+                census.check(
+                    sum(
+                        clustering.cluster_size_closed(n, m, hx, c)
+                        for c in range(n - m + 1)
+                    )
+                    == card,
+                    f"cluster sizes do not sum to |Y| x={x!r} n={n}",
+                )
+                total_max = 0
+                for c in range(n - m + 1):
+                    in_cluster = ham == hx + c
+                    brute = int(np.count_nonzero((w > 0) & in_cluster))
+                    closed = clustering.cluster_size_closed(n, m, hx, c)
+                    rec = clustering.cluster_size_recurrence(n, x, c)
+                    census.check(
+                        brute == closed == rec,
+                        f"cluster size mismatch x={x!r} n={n} c={c}",
+                    )
+                    brute_max = int(np.count_nonzero(maximal & in_cluster))
+                    census.check(
+                        brute_max
+                        == clustering.maximal_initials_cluster(n, m, hx, c),
+                        f"maximal initials mismatch x={x!r} n={n} c={c}",
+                    )
+                    total_max += brute_max
+                census.check(
+                    total_max == clustering.maximal_initials_total(n, m),
+                    f"maximal initials total wrong x={x!r} n={n}",
+                )
+                census.check(
+                    clustering.count_singletons(n, x)
+                    == int(np.count_nonzero(w == 1)),
+                    f"singleton count wrong x={x!r} n={n}",
+                )
+            const = superspace.weight_classes("0" * m, n).classes
             expected = tuple(
                 sorted(
                     (
@@ -234,7 +284,7 @@ def suite_posterior_laws(max_n: int, rng: random.Random) -> SuiteResult:
                     reverse=True,
                 )
             )
-            r.check(const == expected, f"constant-x classes wrong n={n} m={m}")
+            laws.check(const == expected, f"constant-x classes wrong n={n} m={m}")
         # totals[k]: distinct length-k subsequences summed over every y
         totals = [
             sum(column)
@@ -244,57 +294,11 @@ def suite_posterior_laws(max_n: int, rng: random.Random) -> SuiteResult:
         ]
         for t in range(n + 1):
             mean = totals[n - t] / (1 << n)
-            r.check(
+            laws.check(
                 abs(superspace.expected_distinct_subsequences(n, t) - mean) < 1e-9,
                 f"distinct-subsequence mean wrong n={n} t={t}",
             )
-    return r
-
-
-def suite_cluster_census(max_n: int, rng: random.Random) -> SuiteResult:
-    r = SuiteResult("cluster-census")
-    for n in range(1, min(max_n, 12) + 1):
-        ham = all_hamming_weights(n)
-        for m in range(1, n + 1):
-            for x in _strings(m):
-                w = all_weights(x, n)
-                maximal = canonical_ends_last(x, w > 0)
-                hx = x.count("1")
-                r.check(
-                    sum(
-                        clustering.cluster_size_closed(n, m, hx, c)
-                        for c in range(n - m + 1)
-                    )
-                    == superspace.uncertainty_cardinality(n, m),
-                    f"cluster sizes do not sum to |Y| x={x!r} n={n}",
-                )
-                total_max = 0
-                for c in range(n - m + 1):
-                    in_cluster = ham == hx + c
-                    brute = int(np.count_nonzero((w > 0) & in_cluster))
-                    closed = clustering.cluster_size_closed(n, m, hx, c)
-                    rec = clustering.cluster_size_recurrence(n, x, c)
-                    r.check(
-                        brute == closed == rec,
-                        f"cluster size mismatch x={x!r} n={n} c={c}",
-                    )
-                    brute_max = int(np.count_nonzero(maximal & in_cluster))
-                    r.check(
-                        brute_max
-                        == clustering.maximal_initials_cluster(n, m, hx, c),
-                        f"maximal initials mismatch x={x!r} n={n} c={c}",
-                    )
-                    total_max += brute_max
-                r.check(
-                    total_max == clustering.maximal_initials_total(n, m),
-                    f"maximal initials total wrong x={x!r} n={n}",
-                )
-                r.check(
-                    clustering.count_singletons(n, x)
-                    == int(np.count_nonzero(w == 1)),
-                    f"singleton count wrong x={x!r} n={n}",
-                )
-    return r
+    return laws, census
 
 
 def suite_singleton_extremization(max_n: int, rng: random.Random) -> SuiteResult:
@@ -399,20 +403,16 @@ def suite_closed_minima(max_n: int, rng: random.Random) -> SuiteResult:
     r = SuiteResult("closed-minima")
     for n in range(1, min(max_n, 14) + 1):
         for m in range(1, n + 1):
-            p = superspace.build_posterior("0" * m, n)
+            wc = superspace.weight_classes("0" * m, n)
             r.check(
-                abs(min_shannon_closed(n, m) - entropy(p)) < 1e-9,
+                abs(min_shannon_closed(n, m) - wc.entropy()) < 1e-9,
                 f"closed Shannon minimum wrong n={n} m={m}",
             )
             r.check(
-                abs(
-                    min_renyi2_closed(n, m)
-                    - entropy(p, renyi(2))
-                )
-                < 1e-9,
+                abs(min_renyi2_closed(n, m) - wc.entropy(renyi(2))) < 1e-9,
                 f"closed Renyi-2 minimum wrong n={n} m={m}",
             )
-            direct = entropy(p, MIN_ENTROPY)
+            direct = wc.entropy(MIN_ENTROPY)
             r.check(
                 min_minentropy_closed(n, m) == n - m
                 and abs(direct - (n - m)) < 1e-9,
@@ -434,9 +434,7 @@ def suite_deletion_classes(max_n: int, rng: random.Random) -> SuiteResult:
                 f"census identities failed runs={x_rle.runs} d={census.deletions}",
             )
             if m <= brute_cap:
-                brute = superspace.weight_classes(
-                    superspace.build_posterior(rle_decode(x_rle), census.n)
-                )
+                brute = superspace.weight_classes(rle_decode(x_rle), census.n)
                 r.check(
                     census.classes == brute.classes,
                     f"census differs from brute force runs={x_rle.runs} "
@@ -584,8 +582,9 @@ def suite_moment_estimate(max_n: int, rng: random.Random) -> SuiteResult:
     for m in range(1, min(max_n, 4) + 1):
         for x in _strings(m):
             for n in range(m, min(max_n, 16) + 1):
-                est = entropy_estimate_from_moments(x, n)
-                exact = posterior_shannon(x, n)
+                wc = superspace.weight_classes(x, n)
+                est = entropy_estimate_from_moments(wc)
+                exact = wc.entropy()
                 r.check(
                     abs(exact - est.estimate) <= est.bound + 1e-12,
                     f"estimate outside bound x={x!r} n={n}",

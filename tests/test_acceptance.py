@@ -187,7 +187,7 @@ def test_criterion_6_deletion_class_identities():
     """1,000 random run profiles, m <= 20: string-count and weight-sum
     identities exact; censuses match brute force whenever m <= 12."""
     with criterion("criterion 6 (deletion-class identities)"):
-        from delseq import build_posterior, rle_decode, weight_classes
+        from delseq import rle_decode, weight_classes
         from delseq import total_masks, uncertainty_cardinality
 
         rng = random.Random(SEED)
@@ -204,9 +204,7 @@ def test_criterion_6_deletion_class_identities():
                 )
                 assert census.mask_count() == total_masks(census.n, m)
                 if m <= 12:
-                    brute = weight_classes(
-                        build_posterior(rle_decode(x_rle), census.n)
-                    )
+                    brute = weight_classes(rle_decode(x_rle), census.n)
                     assert census.classes == brute.classes
                     brute_checked += 1
         assert brute_checked > 500

@@ -104,6 +104,18 @@ def test_exit_codes(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("token", ["renyi:nan", "renyi:inf", "renyi:-inf"])
+def test_non_finite_renyi_order_rejected(capsys, token):
+    for argv in (
+        ("entropy-scan", "--n", "4", "--m", "2", "--measures", f"shannon,{token}"),
+        ("gchain", "--x", "0110", "--n", "6", "--measure", token),
+    ):
+        assert main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "renyi needs" in captured.err
+
+
 def test_cap_env_variable(capsys, monkeypatch):
     monkeypatch.setenv("DELSEQ_MAX_BITS", "3")
     code, _ = run_cli(capsys, "posterior", "--x", "1", "--n", "4")

@@ -18,7 +18,7 @@ from delseq import (
     rho,
     uncertainty_cardinality,
 )
-from delseq.exhaustive import all_hamming_weights, all_weights, greedy_match_stats
+from delseq.exhaustive import all_hamming_weights, all_weights, canonical_ends_last
 
 
 def all_strings(n):
@@ -141,7 +141,7 @@ def test_maximal_initials_cluster_brute_force():
         ham = all_hamming_weights(n)
         for m in range(1, n + 1):
             for x in all_strings(m):
-                _, maximal = greedy_match_stats(x, n)
+                maximal = canonical_ends_last(x, all_weights(x, n) > 0)
                 hx = x.count("1")
                 for c in range(n - m + 1):
                     brute = int(np.count_nonzero(maximal & (ham == hx + c)))

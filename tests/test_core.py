@@ -90,11 +90,11 @@ def test_binomial_values():
 
 
 def test_binomial_matches_factorial_form():
-    from math import comb
+    from math import factorial
 
     for n in range(0, 40):
         for k in range(0, n + 1):
-            assert binomial(n, k) == comb(n, k)
+            assert binomial(n, k) == factorial(n) // (factorial(k) * factorial(n - k))
 
 
 def test_binomial_conventions_and_pascal_rule():

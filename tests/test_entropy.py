@@ -12,12 +12,10 @@ from delseq import (
     MIN_ENTROPY,
     SHANNON,
     Measure,
-    build_posterior,
     complement,
     count_embeddings_dp,
     delta1,
     double_deletion_classes,
-    entropy,
     entropy_estimate_from_moments,
     g_chain_entropies,
     min_minentropy_closed,
@@ -35,7 +33,8 @@ from delseq import (
     apply_g,
     Rle,
 )
-from delseq.entropy import parse_measure
+from delseq.exhaustive import all_weights
+from delseq.superspace import parse_measure
 
 compositions = st.lists(st.integers(1, 5), min_size=1, max_size=6)
 
@@ -53,25 +52,33 @@ def test_measure_validation():
         Measure("shannon", 2.0)
     with pytest.raises(ValueError):
         Measure("gibbs")
+    for alpha in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            renyi(alpha)
+    with pytest.raises(ValueError):
+        renyi(-math.inf)
+    for token in ("renyi:nan", "renyi:inf", "renyi:-inf"):
+        with pytest.raises(ValueError):
+            parse_measure(token)
     assert parse_measure("renyi2") == renyi(2.0)
     assert parse_measure("renyi:0.5") == renyi(0.5)
     assert str(renyi(0.5)) == "renyi:0.5"
 
 
 def test_entropy_known_values():
-    assert entropy(build_posterior("0", 2)) == pytest.approx(1.5)
-    assert entropy(build_posterior("11111", 8)) == pytest.approx(5.4649, abs=5e-4)
+    assert weight_classes("0", 2).entropy() == pytest.approx(1.5)
+    assert weight_classes("11111", 8).entropy() == pytest.approx(5.4649, abs=5e-4)
 
 
 def test_entropy_point_distribution_is_zero():
-    p = build_posterior("0101", 4)
+    wc = weight_classes("0101", 4)
     for measure in (SHANNON, MIN_ENTROPY, HARTLEY, renyi(2), renyi(0.5)):
-        assert entropy(p, measure) == pytest.approx(0.0, abs=1e-12)
+        assert wc.entropy(measure) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_hartley_is_log_cardinality():
-    p = build_posterior("110", 5)
-    assert entropy(p, HARTLEY) == pytest.approx(math.log2(16))
+    wc = weight_classes("110", 5)
+    assert wc.entropy(HARTLEY) == pytest.approx(math.log2(16))
 
 
 @settings(max_examples=80, deadline=None)
@@ -82,10 +89,10 @@ def test_hartley_is_log_cardinality():
 )
 def test_measure_ordering(args):
     n, x = args
-    p = build_posterior(x, n)
-    h = entropy(p, SHANNON)
-    r2 = entropy(p, renyi(2))
-    hmin = entropy(p, MIN_ENTROPY)
+    wc = weight_classes(x, n)
+    h = wc.entropy(SHANNON)
+    r2 = wc.entropy(renyi(2))
+    hmin = wc.entropy(MIN_ENTROPY)
     assert h >= r2 - 1e-12
     assert r2 >= hmin - 1e-12
 
@@ -108,7 +115,7 @@ def test_min_shannon_closed():
 def test_min_renyi2_closed():
     assert min_renyi2_closed(2, 1) == pytest.approx(-math.log2(3 / 8))
     assert min_renyi2_closed(7, 7) == 0.0
-    direct = entropy(build_posterior("00000", 8), renyi(2))
+    direct = weight_classes("00000", 8).entropy(renyi(2))
     assert min_renyi2_closed(8, 5) == pytest.approx(direct, abs=1e-9)
 
 
@@ -116,22 +123,22 @@ def test_min_minentropy_closed():
     assert min_minentropy_closed(8, 5) == 3
     assert min_minentropy_closed(4, 4) == 0
     assert min_minentropy_closed(12, 7) == 5
-    direct = entropy(build_posterior("0000000", 12), MIN_ENTROPY)
+    direct = weight_classes("0000000", 12).entropy(MIN_ENTROPY)
     assert direct == pytest.approx(5.0, abs=1e-12)
 
 
 def test_closed_minima_match_direct_small():
     for n in range(1, 11):
         for m in range(1, n + 1):
-            p = build_posterior("0" * m, n)
+            wc = weight_classes("0" * m, n)
             assert min_shannon_closed(n, m) == pytest.approx(
-                entropy(p, SHANNON), abs=1e-9
+                wc.entropy(SHANNON), abs=1e-9
             )
             assert min_renyi2_closed(n, m) == pytest.approx(
-                entropy(p, renyi(2)), abs=1e-9
+                wc.entropy(renyi(2)), abs=1e-9
             )
             assert min_minentropy_closed(n, m) == pytest.approx(
-                entropy(p, MIN_ENTROPY), abs=1e-9
+                wc.entropy(MIN_ENTROPY), abs=1e-9
             )
 
 
@@ -151,7 +158,7 @@ def test_single_deletion_classes_match_brute_force():
     for m in range(1, 9):
         for x in all_strings(m):
             census = single_deletion_classes(rle_encode(x))
-            brute = weight_classes(build_posterior(x, m + 1))
+            brute = weight_classes(x, m + 1)
             assert census.classes == brute.classes
             assert census.identities_hold()
 
@@ -171,7 +178,7 @@ def test_double_deletion_classes_match_brute_force():
     for m in range(1, 9):
         for x in all_strings(m):
             census = double_deletion_classes(rle_encode(x))
-            brute = weight_classes(build_posterior(x, m + 2))
+            brute = weight_classes(x, m + 2)
             assert census.classes == brute.classes
             assert census.identities_hold()
 
@@ -268,14 +275,40 @@ def test_max_entropy_single_deletion_classification():
 
 
 def test_entropy_estimate_point_distribution():
-    est = entropy_estimate_from_moments("0110", 4)
+    est = entropy_estimate_from_moments(weight_classes("0110", 4))
     assert est.estimate == pytest.approx(0.0, abs=1e-12)
     assert est.bound == pytest.approx(0.0, abs=1e-12)
 
 
+def _estimate_from_every_weight(x, n):
+    """The moment estimate summed string by string, with fsum over all weights."""
+    weights = [w for w in all_weights(x, n).tolist() if w]
+    mu = total_masks(n, len(x))
+    count = len(weights)
+    mean = mu / count
+    v = math.fsum((w - mean) ** 2 for w in weights) / count
+    t3 = math.fsum((w - mean) ** 3 for w in weights) / count
+    t4 = math.fsum((w - mean) ** 4 for w in weights) / count
+    ln2 = math.log(2)
+    inner = mean * math.log(mean) + v / (2 * mean) - t3 / (6 * mean**2)
+    return (math.log2(mu) - inner / (mean * ln2), 5 * t4 / (3 * mean**4 * ln2))
+
+
+def test_entropy_estimate_equals_per_string_sums():
+    rng = random.Random(20201)
+    cases = [("0", 1), ("0110", 4), ("0000", 14), ("01", 14)]
+    for _ in range(60):
+        n = rng.randint(1, 14)
+        m = rng.randint(1, n)
+        cases.append(("".join(rng.choice("01") for _ in range(m)), n))
+    for x, n in cases:
+        est = entropy_estimate_from_moments(weight_classes(x, n))
+        assert tuple(est) == _estimate_from_every_weight(x, n), (x, n)
+
+
 def test_entropy_estimate_within_bound():
     for x, n in (("000", 10), ("010", 9), ("1101", 11)):
-        est = entropy_estimate_from_moments(x, n)
+        est = entropy_estimate_from_moments(weight_classes(x, n))
         exact = posterior_shannon(x, n)
         assert abs(exact - est.estimate) <= est.bound
 
@@ -284,7 +317,7 @@ def test_entropy_estimate_improves_with_n():
     errors = {
         n: abs(
             posterior_shannon("010", n)
-            - entropy_estimate_from_moments("010", n).estimate
+            - entropy_estimate_from_moments(weight_classes("010", n)).estimate
         )
         for n in (8, 14)
     }

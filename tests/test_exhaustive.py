@@ -15,20 +15,14 @@ from delseq import (
 from delseq.exhaustive import (
     all_hamming_weights,
     all_weights,
+    canonical_ends_last,
     check_int64_exact,
-    greedy_match_stats,
     resolve_max_bits,
-    string_of_index,
 )
 
 
 def all_strings(n):
     return [format(i, f"0{n}b") for i in range(1 << n)] if n else [""]
-
-
-def test_string_of_index():
-    assert string_of_index(5, 4) == "0101"
-    assert string_of_index(0, 0) == ""
 
 
 def test_all_weights_matches_dp():
@@ -65,7 +59,7 @@ def test_all_weights_matches_dp_sampled_17_to_22():
             w = all_weights(x, n)
             assert int(w.sum()) == binomial(n, m) << (n - m)
             for i in rng.sample(range(1 << n), 150):
-                assert int(w[i]) == count_embeddings_dp(x, string_of_index(i, n))
+                assert int(w[i]) == count_embeddings_dp(x, format(i, f"0{n}b"))
 
 
 def test_int64_exactness_guard():
@@ -91,13 +85,14 @@ def test_all_hamming_weights():
             assert int(h[i]) == y.count("1")
 
 
-def test_greedy_match_stats_matches_canonical():
+def test_canonical_ends_last_matches_canonical():
     for n in range(1, 9):
         ys = all_strings(n)
         for x in ("0", "11", "010", "1011"):
             if len(x) > n:
                 continue
-            present, maximal = greedy_match_stats(x, n)
+            present = all_weights(x, n) > 0
+            maximal = canonical_ends_last(x, present)
             for i, y in enumerate(ys):
                 mask = canonical_embedding(x, y)
                 assert bool(present[i]) == (mask is not None)

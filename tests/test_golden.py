@@ -6,7 +6,10 @@ posterior representation must reproduce their output byte for byte.  The
 kappa-only, repeated-measure and classes digests were recorded from the
 package before the pattern sweep was merged into one loop; the m = 30 and
 m = 40 double-deletion censuses were recorded from the package while it still
-weighed every distinct two-insertion string with the run-based counter.
+weighed every distinct two-insertion string with the run-based counter; the
+n = 17 estimate and n = 16 Renyi chain were recorded while every entropy was
+still computed from a whole-space posterior and the moments summed string by
+string.
 """
 
 import hashlib
@@ -69,6 +72,10 @@ GOLDEN = [
     (("classes", "--x-rle", "s=0,2,1,1,3,1,2,4,1,1,2,5,1,3,2,1,1,3,2,4",
       "--deletions", "2", "--format", "json"),
      "c26d9cd5805cf27ce2b070e8c595105ae425db508890287049796b25057c3c18"),
+    (("estimate", "--x", "0110100101", "--n", "17"),
+     "78478ab2801bc8dc9cde7160c46113fcef14848403eedeef8ab24b87ba76de52"),
+    (("gchain", "--x", "0110100101", "--n", "16", "--measure", "renyi:0.5"),
+     "c395fc7882beff173ff9a41fb9d05a26c55055b435668a62120aadc47e22e5b5"),
 ]
 
 

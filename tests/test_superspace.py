@@ -1,4 +1,6 @@
-"""Uncertainty-set posteriors and distinct-subsequence statistics."""
+"""Uncertainty-set posteriors, weight histograms and distinct-subsequence statistics."""
+
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -49,17 +51,17 @@ def test_masks_per_cluster():
 
 def test_build_posterior_small():
     p = build_posterior("0", 2)
-    assert p.entries == (("00", 2), ("01", 1), ("10", 1))
+    assert p.strings() == ["00", "01", "10"] and p.omega.tolist() == [2, 1, 1]
     assert p.mu == 4
     assert p.support.tolist() == [0, 1, 2] and len(p) == 3
-    assert all(type(w) is int for w in p.weights())
+    assert all(type(w) is int for w in p.omega.tolist())
 
 
 def test_build_posterior_table_values():
     p = build_posterior("110", 5)
     assert len(p) == 16
-    assert sum(p.weights()) == 40
-    by_y = dict(p.entries)
+    assert sum(p.omega.tolist()) == 40
+    by_y = dict(zip(p.strings(), p.omega.tolist()))
     assert by_y["11100"] == 6
     assert by_y["11110"] == 6
     # easy to drop in a hand census; the enumeration must keep it
@@ -68,8 +70,9 @@ def test_build_posterior_table_values():
 
 def test_build_posterior_degenerate_and_errors():
     p = build_posterior("0110", 4)
-    assert p.entries == (("0110", 1),)
-    assert build_posterior("", 0).entries == (("", 1),)
+    assert p.strings() == ["0110"] and p.omega.tolist() == [1]
+    empty = build_posterior("", 0)
+    assert empty.strings() == [""] and empty.omega.tolist() == [1]
     with pytest.raises(ValueError):
         build_posterior("11", 1)
     with pytest.raises(EnumerationCapExceeded):
@@ -85,14 +88,15 @@ def test_posterior_laws(args):
     n, x = args
     p = build_posterior(x, n)
     assert len(p) == uncertainty_cardinality(n, len(x))
-    assert sum(p.weights()) == total_masks(n, len(x))
-    assert all(w >= 1 for w in p.weights())
-    assert all(count_embeddings_dp(x, y) == w for y, w in p.entries)
+    weights = p.omega.tolist()
+    assert sum(weights) == total_masks(n, len(x))
+    assert all(w >= 1 for w in weights)
+    assert all(count_embeddings_dp(x, y) == w for y, w in zip(p.strings(), weights))
 
 
 def test_weight_classes_examples():
-    assert weight_classes(build_posterior("0", 2)).classes == ((2, 1), (1, 2))
-    assert weight_classes(build_posterior("10", 4)).classes == (
+    assert weight_classes("0", 2).classes == ((2, 1), (1, 2))
+    assert weight_classes("10", 4).classes == (
         (4, 1),
         (3, 3),
         (2, 4),
@@ -102,7 +106,7 @@ def test_weight_classes_examples():
 
 def test_weight_classes_constant_string():
     n, m = 9, 4
-    wc = weight_classes(build_posterior("0" * m, n))
+    wc = weight_classes("0" * m, n)
     expected = tuple(
         sorted(
             ((binomial(n - j, m), binomial(n, j)) for j in range(n - m + 1)),
@@ -116,9 +120,34 @@ def test_weight_classes_totals_constant_over_x():
     n = 7
     for m in (2, 3):
         for x in all_strings(m):
-            wc = weight_classes(build_posterior(x, n))
+            wc = weight_classes(x, n)
             assert wc.string_count() == uncertainty_cardinality(n, m)
             assert wc.mask_count() == total_masks(n, m)
+            assert wc.identities_hold()
+            assert (wc.m, wc.deletions, wc.n, wc.mu) == (m, n - m, n, total_masks(n, m))
+
+
+def test_weight_classes_match_embedding_counter():
+    """The engine's histogram is the counting DP's, over every y, m <= 4, n <= 9."""
+    for n in range(0, 10):
+        ys = all_strings(n)
+        for m in range(0, min(n, 4) + 1):
+            for x in all_strings(m):
+                counts = Counter(count_embeddings_dp(x, y) for y in ys)
+                del counts[0]
+                expected = tuple(sorted(counts.items(), reverse=True))
+                assert weight_classes(x, n).classes == expected, (x, n)
+
+
+def test_weight_classes_guards_match_build_posterior():
+    # not a bit string, m > n, n < 0, over the cap, C(67, 33) >= 2^63
+    for args in (("2", 3), ("11", 1), ("1", -1), ("1", 30), ("0" * 33, 67, 67)):
+        errors = []
+        for build in (build_posterior, weight_classes):
+            with pytest.raises((ValueError, EnumerationCapExceeded)) as info:
+                build(*args)
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1], args
 
 
 def test_count_distinct_subsequences():
