@@ -38,6 +38,7 @@ from .exhaustive import (
     MAX_BITS_ENV,
     all_hamming_weights,
     all_weights,
+    hamming_weight_counts,
 )
 from .hws import kappa_entropy_table, pattern_sweep, sorted_by_kappa
 from .superspace import Posterior, build_posterior, parse_measure, weight_classes
@@ -358,15 +359,16 @@ def cmd_clusters(args) -> int:
     weights = all_weights(x, n, max_bits=args.max_bits)
     ham = all_hamming_weights(n)
     hx = x.count("1")
+    # cluster c holds the support strings of Hamming weight hx + c
+    support = hamming_weight_counts(weights > 0, ham, n)
     rows = []
     for c in range(n - m + 1):
-        brute = int(np.count_nonzero((weights > 0) & (ham == hx + c)))
         rows.append(
             [
                 c,
                 cluster_size_closed(n, m, hx, c),
                 cluster_size_recurrence(n, x, c),
-                brute,
+                int(support[hx + c]),
                 maximal_initials_cluster(n, m, hx, c),
             ]
         )

@@ -7,8 +7,18 @@ cross-check each other:
 
 * ``enumerate_masks``   -- brute-force enumeration (the oracle),
 * ``count_embeddings_dp``   -- the classic distinct-occurrence DP,
-* ``count_embeddings_runs`` -- summation over block maps of the run-length
-  encodings, grouping masks by which run of y hosts the end of each run of x.
+* ``count_embeddings_runs`` -- the block-map sum over the run-length
+  encodings, which groups masks by the run f(i) of y hosting the end of run
+  i of x.
+
+Every mask belongs to exactly one block map f, and the group of f has the
+size prod_i factor(f(i-1), f(i), i).  Since each factor depends only on
+(f(i-1), f(i), i), ``count_embeddings_runs`` adds up these products as a
+path sum over the states (i, f(i)), with O(l'·l^2) transitions for l' runs
+of x and l runs of y, instead of listing the C(l' + u, u) maps.  The maps
+themselves, with their group sizes, remain available from
+``embedding_counts_by_block_map``: that per-map decomposition is the path
+sum's oracle and is checked against ``block_map_of_mask``.
 """
 from __future__ import annotations
 
@@ -58,11 +68,13 @@ def count_embeddings_dp(x: str, y: str) -> int:
     m = len(x)
     if m > len(y):
         return 0
+    # per symbol c, the positions i with x_i = c, descending so that each
+    # update reads W(i-1, j-1) before symbol y_j changes it
+    at = {c: [i for i in range(m, 0, -1) if x[i - 1] == c] for c in "01"}
     w = [1] + [0] * m
     for c in y:
-        for i in range(m, 0, -1):
-            if x[i - 1] == c:
-                w[i] += w[i - 1]
+        for i in at[c]:
+            w[i] += w[i - 1]
     return w[m]
 
 
@@ -118,20 +130,25 @@ def _align_rles(x: str, y: str) -> tuple[Rle, Rle] | None:
     return rx, ry
 
 
-def _block_map_count(f: BlockMap, kx: tuple[int, ...], ky: tuple[int, ...]) -> int:
-    """Size of the mask group for a single block map f.
+def _run_factor(s: int, need: int, last: int) -> int:
+    """The factor of run i of x in the size of a block-map group.
 
     After deleting the opposite-symbol runs strictly between f(i-1) and f(i),
     the same-symbol runs {f(i-1)+1, f(i-1)+3, ..., f(i)} of y merge into one
-    run; the factor for run i of x counts the ways to pick its k'_i symbols
-    there while keeping run f(i) non-empty in the mask.
+    run of length s, whose final ``last`` symbols are run f(i).  The factor
+    counts the ways to pick the ``need`` = k'_i symbols of run i there while
+    keeping run f(i) non-empty in the mask: C(s, k'_i) - C(s - k_f(i), k'_i).
     """
+    return binomial(s, need) - binomial(s - last, need)
+
+
+def _block_map_count(f: BlockMap, kx: tuple[int, ...], ky: tuple[int, ...]) -> int:
+    """Size of the mask group for a single block map f."""
     total = 1
     prev = 0
     for i, fi in enumerate(f, start=1):
         s = sum(ky[j - 1] for j in range(prev + 1, fi + 1, 2))
-        need = kx[i - 1]
-        term = binomial(s, need) - binomial(s - ky[fi - 1], need)
+        term = _run_factor(s, kx[i - 1], ky[fi - 1])
         if term == 0:
             return 0
         total *= term
@@ -159,8 +176,40 @@ def embedding_counts_by_block_map(x: str, y: str) -> list[tuple[BlockMap, int]]:
 
 
 def count_embeddings_runs(x: str, y: str) -> int:
-    """omega_x(y) as the sum of the per-block-map group sizes."""
-    return sum(c for _, c in embedding_counts_by_block_map(x, y))
+    """omega_x(y) as the sum of the per-block-map group sizes, as a path sum.
+
+    ``paths[f]`` is the sum, over the partial block maps of runs 1..i of x
+    that end at f(i) = f, of the product of their run factors.  A state
+    ``prev`` extends to f(i) = prev+1, prev+3, ... up to l - (l' - i), the
+    last run that leaves room for the remaining runs of x; the merged run
+    grows by one same-symbol run of y at each step.  Zero factors are
+    skipped, and an empty row means no block map has a non-zero group.
+    """
+    check_bits(x)
+    check_bits(y)
+    if not x:
+        return 1
+    aligned = _align_rles(x, y)
+    if aligned is None:
+        return 0
+    rx, ry = aligned
+    kx, ky = rx.runs, ry.runs
+    lp, l = len(kx), len(ky)
+    paths = {0: 1}
+    for i, need in enumerate(kx, start=1):
+        top = l - (lp - i)
+        row: dict[int, int] = {}
+        for prev, total in paths.items():
+            s = 0
+            for fi in range(prev + 1, top + 1, 2):
+                s += ky[fi - 1]
+                term = _run_factor(s, need, ky[fi - 1])
+                if term:
+                    row[fi] = row.get(fi, 0) + total * term
+        if not row:
+            return 0
+        paths = row
+    return sum(paths.values())
 
 
 def block_map_of_mask(mask: Mask, x_rle: Rle, y_rle: Rle) -> BlockMap:

@@ -118,6 +118,9 @@ def all_weights(x: str, n: int, max_bits: int | None = None) -> np.ndarray:
     return (prefix @ suffix.T).reshape(-1)
 
 
+_COUNT_BLOCK = 1 << 16
+
+
 def _popcounts(k: int) -> np.ndarray:
     """h(u) for every u of length k: prepending a 1 adds one to the count."""
     h = np.zeros(1, dtype=np.int64)
@@ -130,6 +133,20 @@ def all_hamming_weights(n: int) -> np.ndarray:
     """h(y) for every y of length n, as the outer sum of both halves' counts."""
     k = n // 2
     return np.add.outer(_popcounts(k), _popcounts(n - k)).reshape(-1)
+
+
+def hamming_weight_counts(select: np.ndarray, ham: np.ndarray, n: int) -> np.ndarray:
+    """``counts[h]``: how many y with ``select[y]`` have ``ham[y] == h``, h = 0..n.
+
+    Counted in blocks of 2^16 strings: one ``bincount`` of the whole
+    selection would first copy the selected int64 weights, a second array
+    the size of ``ham``.
+    """
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for i in range(0, len(ham), _COUNT_BLOCK):
+        block = slice(i, i + _COUNT_BLOCK)
+        counts += np.bincount(ham[block][select[block]], minlength=n + 1)
+    return counts
 
 
 def canonical_ends_last(x: str, present: np.ndarray) -> np.ndarray:

@@ -38,7 +38,12 @@ from .entropy import (
     min_shannon_closed,
     single_deletion_classes,
 )
-from .exhaustive import all_hamming_weights, all_weights, canonical_ends_last
+from .exhaustive import (
+    all_hamming_weights,
+    all_weights,
+    canonical_ends_last,
+    hamming_weight_counts,
+)
 from .superspace import MIN_ENTROPY, renyi
 
 
@@ -248,17 +253,18 @@ def _weight_vector_suites(max_n: int) -> tuple[SuiteResult, SuiteResult]:
                     == card,
                     f"cluster sizes do not sum to |Y| x={x!r} n={n}",
                 )
+                in_support = hamming_weight_counts(w > 0, ham, n)
+                in_maximal = hamming_weight_counts(maximal, ham, n)
                 total_max = 0
                 for c in range(n - m + 1):
-                    in_cluster = ham == hx + c
-                    brute = int(np.count_nonzero((w > 0) & in_cluster))
+                    brute = int(in_support[hx + c])
                     closed = clustering.cluster_size_closed(n, m, hx, c)
                     rec = clustering.cluster_size_recurrence(n, x, c)
                     census.check(
                         brute == closed == rec,
                         f"cluster size mismatch x={x!r} n={n} c={c}",
                     )
-                    brute_max = int(np.count_nonzero(maximal & in_cluster))
+                    brute_max = int(in_maximal[hx + c])
                     census.check(
                         brute_max
                         == clustering.maximal_initials_cluster(n, m, hx, c),

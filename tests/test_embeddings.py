@@ -1,5 +1,6 @@
 """Three independent embedding counters and the block-map partition."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -110,6 +111,59 @@ def test_three_way_agreement_exhaustive_small():
                     assert dp == count_embeddings_runs(x, y)
                     if n <= 6:
                         assert dp == len(enumerate_masks(x, y))
+
+
+def test_runs_equals_block_map_decomposition_exhaustive():
+    """The path sum adds up exactly the per-map group sizes it never lists."""
+    for n in range(0, 8):
+        for y in all_strings(n):
+            for m in range(0, n + 1):
+                for x in all_strings(m):
+                    parts = embedding_counts_by_block_map(x, y)
+                    assert count_embeddings_runs(x, y) == sum(c for _, c in parts)
+
+
+@pytest.mark.parametrize(
+    "x, y, parts, count",
+    [
+        ("", "", [((), 1)], 1),  # empty x embeds once, even in empty y
+        ("", "0110", [((), 1)], 1),
+        ("0110", "011", [], 0),  # m > n
+        ("01", "", [], 0),
+        ("10", "0110", [((1, 2), 2)], 2),  # maps refer to y without its "0"
+        ("1", "0011", [((1,), 2)], 2),
+        ("0", "111", [], 0),  # y is one run of the other symbol
+        ("01", "1", [], 0),
+    ],
+)
+def test_runs_edge_cases(x, y, parts, count):
+    assert embedding_counts_by_block_map(x, y) == parts
+    assert count_embeddings_runs(x, y) == count == count_embeddings_dp(x, y)
+
+
+def _runs_string(rng, length, p):
+    bit = rng.choice("01")
+    for _ in range(length):
+        yield bit
+        if rng.random() < p:
+            bit = "10"[int(bit)]
+
+
+def test_runs_matches_dp_beyond_map_enumeration():
+    """Pairs with up to 24 runs in x and 60 in y, where listing the maps is
+    hopeless: x = (01)^12 in y = (01)^30 alone has C(42, 18) of them."""
+    x, y = "01" * 12, "01" * 30
+    # every run has length 1, so each map's group is a single mask
+    assert sigma(24, 60) == binomial(42, 18)
+    assert count_embeddings_runs(x, y) == count_embeddings_dp(x, y) == binomial(42, 18)
+    rng = random.Random(20201)
+    for _ in range(300):
+        n = rng.randint(0, 60)
+        m = rng.randint(0, min(n, 24))
+        # few or many runs: switch symbol with a random probability
+        p = rng.random()
+        x, y = ("".join(_runs_string(rng, k, p)) for k in (m, n))
+        assert count_embeddings_runs(x, y) == count_embeddings_dp(x, y)
 
 
 @settings(max_examples=300)

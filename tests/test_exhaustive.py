@@ -17,6 +17,7 @@ from delseq.exhaustive import (
     all_weights,
     canonical_ends_last,
     check_int64_exact,
+    hamming_weight_counts,
     resolve_max_bits,
 )
 
@@ -83,6 +84,19 @@ def test_all_hamming_weights():
         h = all_hamming_weights(n)
         for i, y in enumerate(all_strings(n)):
             assert int(h[i]) == y.count("1")
+
+
+def test_hamming_weight_counts_match_per_weight_scan():
+    # n = 17 and 18 span several 2^16-string blocks, with a partial last one
+    rng = random.Random(5)
+    for n in (0, 1, 5, 16, 17, 18):
+        ham = all_hamming_weights(n)
+        select = np.array([rng.random() < 0.7 for _ in range(1 << n)])
+        counts = hamming_weight_counts(select, ham, n)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [
+            int(np.count_nonzero(select & (ham == h))) for h in range(n + 1)
+        ]
 
 
 def test_canonical_ends_last_matches_canonical():
