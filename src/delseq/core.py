@@ -92,21 +92,23 @@ class Rle:
         return self.first ^ ((i - 1) & 1)
 
 
+def run_lengths(s: str) -> list[int]:
+    """The run lengths of ``s``, from one C-level scan.
+
+    A space goes in at every change of symbol and ``split`` cuts there, so no
+    Python loop visits the characters.  ``s`` must already have passed
+    ``check_bits``; every length is then positive, and the empty string has
+    no runs.
+    """
+    return list(map(len, s.replace("01", "0 1").replace("10", "1 0").split()))
+
+
 def rle_encode(s: str) -> Rle:
     """Run-length encode ``s``; the empty string encodes to an empty Rle."""
     check_bits(s)
     if not s:
         return Rle(None, ())
-    runs = []
-    count = 1
-    for prev, cur in zip(s, s[1:]):
-        if cur == prev:
-            count += 1
-        else:
-            runs.append(count)
-            count = 1
-    runs.append(count)
-    return Rle(int(s[0]), tuple(runs))
+    return Rle(int(s[0]), tuple(run_lengths(s)))
 
 
 def rle_decode(r: Rle) -> str:

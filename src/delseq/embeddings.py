@@ -19,12 +19,19 @@ of x and l runs of y, instead of listing the C(l' + u, u) maps.  The maps
 themselves, with their group sizes, remain available from
 ``embedding_counts_by_block_map``: that per-map decomposition is the path
 sum's oracle and is checked against ``block_map_of_mask``.
+
+Both run-based routes read the run lengths of x and y as plain lists from
+``core.run_lengths``, one C-level scan per string, aligned by
+``_align_runs``; only the per-map oracle wraps them in ``Rle`` objects, for
+``block_maps``.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import accumulate
+from math import comb
 
-from .core import Rle, binomial, check_bits, rle_encode
+from .core import Rle, binomial, check_bits, run_lengths
 
 Mask = tuple[int, ...]
 BlockMap = tuple[int, ...]
@@ -61,6 +68,17 @@ def enumerate_masks(x: str, y: str) -> list[Mask]:
     return out
 
 
+@lru_cache(maxsize=4096)
+def _descending_positions(x: str) -> dict[str, tuple[int, ...]]:
+    """Per symbol c, the positions i with x_i = c, in descending order.
+
+    Descending so that each update of ``count_embeddings_dp`` reads
+    W(i-1, j-1) before symbol y_j changes it.  Cached by x, because a batch
+    of counts often repeats its pattern; callers must not change the dict.
+    """
+    return {c: tuple(i for i in range(len(x), 0, -1) if x[i - 1] == c) for c in "01"}
+
+
 def count_embeddings_dp(x: str, y: str) -> int:
     """omega_x(y) via the recurrence W(i,j) = W(i,j-1) + [x_i = y_j] W(i-1,j-1)."""
     check_bits(x)
@@ -68,9 +86,7 @@ def count_embeddings_dp(x: str, y: str) -> int:
     m = len(x)
     if m > len(y):
         return 0
-    # per symbol c, the positions i with x_i = c, descending so that each
-    # update reads W(i-1, j-1) before symbol y_j changes it
-    at = {c: [i for i in range(m, 0, -1) if x[i - 1] == c] for c in "01"}
+    at = _descending_positions(x)
     w = [1] + [0] * m
     for c in y:
         for i in at[c]:
@@ -117,17 +133,20 @@ def sigma(lp: int, l: int) -> int:
     return binomial(lp + u, u)
 
 
-def _align_rles(x: str, y: str) -> tuple[Rle, Rle] | None:
-    """RLEs of x and y with y's first run stripped on a symbol mismatch."""
-    rx = rle_encode(x)
-    ry = rle_encode(y)
-    if rx.first is not None and ry.first is not None and rx.first != ry.first:
-        if ry.block_count == 1:
-            return None
-        ry = Rle(ry.first ^ 1, ry.runs[1:])
-    if rx.length > ry.length:
+def _align_runs(x: str, y: str) -> tuple[list[int], list[int]] | None:
+    """Run lengths of non-empty x and of y, y's first run stripped on a symbol mismatch.
+
+    None when what is left of y is shorter than x.  Both strings must already
+    have passed ``check_bits``.
+    """
+    if len(x) > len(y):
         return None
-    return rx, ry
+    ky = run_lengths(y)
+    if x[0] != y[0]:
+        if len(x) > len(y) - ky[0]:
+            return None
+        ky = ky[1:]
+    return run_lengths(x), ky
 
 
 def _run_factor(s: int, need: int, last: int) -> int:
@@ -138,11 +157,13 @@ def _run_factor(s: int, need: int, last: int) -> int:
     run of length s, whose final ``last`` symbols are run f(i).  The factor
     counts the ways to pick the ``need`` = k'_i symbols of run i there while
     keeping run f(i) non-empty in the mask: C(s, k'_i) - C(s - k_f(i), k'_i).
+    Every argument is non-negative, so ``math.comb`` (0 when k'_i > s) is
+    already the convention needed.
     """
-    return binomial(s, need) - binomial(s - last, need)
+    return comb(s, need) - comb(s - last, need)
 
 
-def _block_map_count(f: BlockMap, kx: tuple[int, ...], ky: tuple[int, ...]) -> int:
+def _block_map_count(f: BlockMap, kx: list[int], ky: list[int]) -> int:
     """Size of the mask group for a single block map f."""
     total = 1
     prev = 0
@@ -166,13 +187,13 @@ def embedding_counts_by_block_map(x: str, y: str) -> list[tuple[BlockMap, int]]:
     check_bits(y)
     if not x:
         return [((), 1)]
-    aligned = _align_rles(x, y)
+    aligned = _align_runs(x, y)
     if aligned is None:
         return []
-    rx, ry = aligned
-    return [
-        (f, _block_map_count(f, rx.runs, ry.runs)) for f in block_maps(rx, ry)
-    ]
+    kx, ky = aligned
+    first = int(x[0])
+    rx, ry = Rle(first, tuple(kx)), Rle(first, tuple(ky))
+    return [(f, _block_map_count(f, kx, ky)) for f in block_maps(rx, ry)]
 
 
 def count_embeddings_runs(x: str, y: str) -> int:
@@ -189,11 +210,10 @@ def count_embeddings_runs(x: str, y: str) -> int:
     check_bits(y)
     if not x:
         return 1
-    aligned = _align_rles(x, y)
+    aligned = _align_runs(x, y)
     if aligned is None:
         return 0
-    rx, ry = aligned
-    kx, ky = rx.runs, ry.runs
+    kx, ky = aligned
     lp, l = len(kx), len(ky)
     paths = {0: 1}
     for i, need in enumerate(kx, start=1):

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
+import numpy as np
+
 from .core import binomial, check_bits
 from .exhaustive import check_enumerable
 from .superspace import SHANNON, weight_classes
@@ -76,6 +78,29 @@ def kappa_squared(x: str) -> int:
     )
 
 
+SWEEP_BLOCK = 1 << 16  # patterns per array product in pattern_sweep
+
+
+def kappa_squared_block(m: int, lo: int, hi: int) -> list[int]:
+    """kappa^2 of the patterns of length m with binary values lo..hi-1, in order.
+
+    With v the bit vector of x, [x_r = x_s] = 1 - v_r - v_s + 2 v_r v_s, and
+    M = interleaving_matrix(m) is symmetric, so kappa^2 = T - 2 v.(M 1)
+    + 2 v^T M v with T the total of M.  The whole block is one array product.
+    Every partial sum lies in [-T, 2T], so int64 is exact while 2T < 2^63
+    (m <= 30); longer patterns use Python ints (object arrays).  Returns
+    Python ints.
+    """
+    mat = interleaving_matrix(m)
+    total = sum(map(sum, mat))
+    dtype = np.int64 if 2 * total < 1 << 63 else object
+    inter = np.array(mat, dtype=dtype)
+    codes = np.arange(lo, hi, dtype=np.int64)[:, None]
+    bits = ((codes >> np.arange(m - 1, -1, -1)) & 1).astype(dtype, copy=False)
+    quadratic = ((bits @ inter) * bits).sum(axis=1)
+    return (total - 2 * (bits @ inter.sum(axis=1)) + 2 * quadratic).tolist()
+
+
 def kappa_max(m: int) -> int:
     """Maximal autocorrelation over length m: m * C(2m-1, m), by the constants."""
     if m < 1:
@@ -115,6 +140,7 @@ def pattern_sweep(
 ) -> list[tuple]:
     """(x, kappa^2(x), *entropies) for every x of length m, in binary order.
 
+    kappa^2 comes SWEEP_BLOCK patterns at a time from ``kappa_squared_block``.
     With n, each x's weight histogram at length n is taken once and every
     measure is evaluated from it (a float, so str() prints its repr());
     without n nothing is enumerated and the rows are (x, kappa^2(x)).
@@ -126,13 +152,15 @@ def pattern_sweep(
         raise ValueError(f"need 1 <= m <= n, got n={n} m={m}")
     check_enumerable(m, max_bits)
     rows = []
-    for i in range(1 << m):
-        x = format(i, f"0{m}b")
-        row = (x, kappa_squared(x))
-        if n is not None:
-            wc = weight_classes(x, n, max_bits=max_bits)
-            row += tuple(wc.entropy(ms) for ms in measures)
-        rows.append(row)
+    for lo in range(0, 1 << m, SWEEP_BLOCK):
+        kappas = kappa_squared_block(m, lo, min(lo + SWEEP_BLOCK, 1 << m))
+        for i, kappa in enumerate(kappas, start=lo):
+            x = format(i, f"0{m}b")
+            row = (x, kappa)
+            if n is not None:
+                wc = weight_classes(x, n, max_bits=max_bits)
+                row += tuple(wc.entropy(ms) for ms in measures)
+            rows.append(row)
     return rows
 
 

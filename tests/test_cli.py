@@ -33,6 +33,13 @@ def test_parse_rle():
     assert format_rle(parse_rle("s=0,2,2,1")) == "s=0,2,2,1"
     with pytest.raises(ValueError):
         parse_rle("s=1")
+    with pytest.raises(ValueError):
+        parse_rle("s=0,0")  # Rle's own validation rejects the empty run
+
+
+def test_zero_run_length_exits_2(capsys):
+    code, out = run_cli(capsys, "classes", "--x-rle", "s=0,0", "--deletions", "1")
+    assert (code, out) == (2, "")
 
 
 def test_posterior_csv(capsys):
@@ -182,6 +189,21 @@ def test_clusters_methods_agree(capsys):
         ["1", "7", "7", "7"],
         ["2", "3", "3", "3"],
     ]
+
+
+@pytest.mark.parametrize("x,n", [("0110", 17), ("10010", 18)])
+def test_clusters_beyond_one_block(capsys, x, n):
+    # 2^17 and 2^18 strings: the per-Hamming-weight support count runs over
+    # several 2^16-string blocks
+    code, out = run_cli(capsys, "clusters", "--x", x, "--n", str(n))
+    assert code == 0
+    _, rows = parse_csv(out)
+    m = len(x)
+    assert [int(r[0]) for r in rows] == list(range(n - m + 1))
+    sizes = [int(r[1]) for r in rows]
+    assert all([int(r[2]), int(r[3])] == [int(r[1])] * 2 for r in rows)
+    assert sum(sizes) == sum(math.comb(n, r) for r in range(m, n + 1))
+    assert sum(int(r[4]) for r in rows) == math.comb(n - 1, m - 1)
 
 
 def test_singletons_row(capsys):

@@ -1,5 +1,7 @@
 """Run-length encoding, binomials and the run-merging transformation."""
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from delseq import (
     rle_decode,
     rle_encode,
 )
+from delseq.core import run_lengths
 
 bits = st.text(alphabet="01", max_size=16)
 
@@ -58,6 +61,21 @@ def test_rle_runs_alternate_and_cover(s):
     # uniqueness of the encoding = no two adjacent runs share a symbol
     symbols = [r.symbol(i) for i in range(1, r.block_count + 1)]
     assert all(a != b for a, b in zip(symbols, symbols[1:]))
+
+
+def test_rle_encode_exhaustive():
+    # every s with |s| <= 12; groupby is an independent scan of the runs
+    for n in range(13):
+        for i in range(1 << n):
+            s = format(i, f"0{n}b") if n else ""
+            r = rle_encode(s)
+            assert rle_decode(r) == s
+            assert list(r.runs) == run_lengths(s)
+            assert list(r.runs) == [len(list(g)) for _, g in itertools.groupby(s)]
+            assert all(b >= 1 for b in r.runs)
+            assert r.first == (int(s[0]) if s else None)
+            symbols = [r.symbol(j) for j in range(1, r.block_count + 1)]
+            assert all(a != b for a, b in zip(symbols, symbols[1:]))
 
 
 @given(bits)

@@ -9,7 +9,9 @@ m = 40 double-deletion censuses were recorded from the package while it still
 weighed every distinct two-insertion string with the run-based counter; the
 n = 17 estimate and n = 16 Renyi chain were recorded while every entropy was
 still computed from a whole-space posterior and the moments summed string by
-string.
+string; the m = 10 and m = 11 kappa tables and the 20-run m = 40 census were
+recorded while kappa^2 was still summed pattern by pattern and every run
+length counted in a per-character loop.
 """
 
 import hashlib
@@ -76,6 +78,13 @@ GOLDEN = [
      "78478ab2801bc8dc9cde7160c46113fcef14848403eedeef8ab24b87ba76de52"),
     (("gchain", "--x", "0110100101", "--n", "16", "--measure", "renyi:0.5"),
      "c395fc7882beff173ff9a41fb9d05a26c55055b435668a62120aadc47e22e5b5"),
+    (("kappa", "--m", "10"),
+     "deb7d163a8728ca69549b5b9bfffa142c46c8ce9771c804ac4202cc1b327d96a"),
+    (("kappa", "--m", "11", "--format", "json"),
+     "6b1ac785a184490437a5962899dd6f090e365ef957bbbfa928403c3d3a91a222"),
+    (("classes", "--x-rle", "s=1,1,3,2,1,1,2,4,1,2,1,1,3,2,2,1,5,1,2,3,2",
+      "--deletions", "2"),
+     "83af00f2d585460df805de7bebb757512e88a94b9899effdb83ac93317a02d69"),
 ]
 
 

@@ -202,3 +202,31 @@ def test_kappa_total_over_all_patterns():
         total = sum(kappa_squared(x) for x in all_strings(m))
         trace = sum(M[r][r] for r in range(m))
         assert total == 2 ** (m - 1) * (sum(map(sum, M)) + trace)
+
+
+def test_pattern_sweep_kappa_column_matches_per_pattern(monkeypatch):
+    from delseq import hws
+
+    for m in range(1, 13):
+        rows = hws.pattern_sweep(m)
+        assert [x for x, _ in rows] == all_strings(m)
+        assert [k for _, k in rows] == [kappa_squared(x) for x in all_strings(m)]
+        assert all(type(k) is int for _, k in rows)
+    # blocks that do not divide 2^m
+    monkeypatch.setattr(hws, "SWEEP_BLOCK", 100)
+    assert [k for _, k in hws.pattern_sweep(12)] == [
+        kappa_squared(x) for x in all_strings(12)
+    ]
+
+
+@pytest.mark.parametrize("m", [30, 31, 40])
+def test_kappa_squared_block_exact_past_int64(m):
+    # 2 kappa_max(m) < 2^63 only up to m = 30; beyond, the block is summed in
+    # Python ints and must still equal the per-pattern sum
+    from delseq.hws import kappa_squared_block
+
+    top = 1 << m
+    for lo, hi in [(0, 40), (top // 3, top // 3 + 40), (top - 40, top)]:
+        expected = [kappa_squared(format(i, f"0{m}b")) for i in range(lo, hi)]
+        assert kappa_squared_block(m, lo, hi) == expected
+    assert kappa_squared_block(m, 0, 1) == [kappa_max(m)]
