@@ -69,14 +69,14 @@ def enumerate_masks(x: str, y: str) -> list[Mask]:
 
 
 @lru_cache(maxsize=4096)
-def _descending_positions(x: str) -> dict[str, tuple[int, ...]]:
-    """Per symbol c, the positions i with x_i = c, in descending order.
+def _descending_positions(x: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The positions i with x_i = '0', then those with x_i = '1', each descending.
 
     Descending so that each update of ``count_embeddings_dp`` reads
     W(i-1, j-1) before symbol y_j changes it.  Cached by x, because a batch
-    of counts often repeats its pattern; callers must not change the dict.
+    of counts often repeats its pattern.
     """
-    return {c: tuple(i for i in range(len(x), 0, -1) if x[i - 1] == c) for c in "01"}
+    return tuple(tuple(i for i in range(len(x), 0, -1) if x[i - 1] == c) for c in "01")
 
 
 def count_embeddings_dp(x: str, y: str) -> int:
@@ -86,10 +86,10 @@ def count_embeddings_dp(x: str, y: str) -> int:
     m = len(x)
     if m > len(y):
         return 0
-    at = _descending_positions(x)
+    zeros, ones = _descending_positions(x)
     w = [1] + [0] * m
     for c in y:
-        for i in at[c]:
+        for i in ones if c == "1" else zeros:
             w[i] += w[i - 1]
     return w[m]
 

@@ -95,9 +95,12 @@ def kappa_squared_block(m: int, lo: int, hi: int) -> list[int]:
     total = sum(map(sum, mat))
     dtype = np.int64 if 2 * total < 1 << 63 else object
     inter = np.array(mat, dtype=dtype)
-    codes = np.arange(lo, hi, dtype=np.int64)[:, None]
-    bits = ((codes >> np.arange(m - 1, -1, -1)) & 1).astype(dtype, copy=False)
-    quadratic = ((bits @ inter) * bits).sum(axis=1)
+    bits = np.arange(lo, hi, dtype=np.int64)[:, None] >> np.arange(m - 1, -1, -1)
+    bits &= 1
+    bits = bits.astype(dtype, copy=False)
+    weighted = bits @ inter
+    weighted *= bits
+    quadratic = weighted.sum(axis=1)
     return (total - 2 * (bits @ inter.sum(axis=1)) + 2 * quadratic).tolist()
 
 
