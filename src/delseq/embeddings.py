@@ -76,7 +76,10 @@ def _descending_positions(x: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     W(i-1, j-1) before symbol y_j changes it.  Cached by x, because a batch
     of counts often repeats its pattern.
     """
-    return tuple(tuple(i for i in range(len(x), 0, -1) if x[i - 1] == c) for c in "01")
+    m = len(x)
+    zeros = tuple([i for i in range(m, 0, -1) if x[i - 1] == "0"])
+    ones = tuple([i for i in range(m, 0, -1) if x[i - 1] == "1"])
+    return zeros, ones
 
 
 def count_embeddings_dp(x: str, y: str) -> int:
