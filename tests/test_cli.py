@@ -200,9 +200,8 @@ def test_clusters_beyond_one_block(capsys, x, n):
     _, rows = parse_csv(out)
     m = len(x)
     assert [int(r[0]) for r in rows] == list(range(n - m + 1))
-    sizes = [int(r[1]) for r in rows]
-    assert all([int(r[2]), int(r[3])] == [int(r[1])] * 2 for r in rows)
-    assert sum(sizes) == sum(math.comb(n, r) for r in range(m, n + 1))
+    assert all(r[1] == r[2] == r[3] for r in rows)
+    assert sum(int(r[1]) for r in rows) == sum(math.comb(n, r) for r in range(m, n + 1))
     assert sum(int(r[4]) for r in rows) == math.comb(n - 1, m - 1)
 
 
