@@ -8,6 +8,7 @@ the test suite) a brute-force census.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .core import binomial, check_bits
 from .embeddings import Mask
@@ -79,9 +80,15 @@ def cluster_size_recurrence(n: int, x: str, c: int) -> int:
     Matching a leading 0 of x consumes it without changing c; a leading
     surplus symbol consumes c only when x starts with 0 (the surplus bit is
     then a one).  Out-of-range arguments (c < 0 or c + |x| > n) yield 0, as
-    in the recursion's own base cases.
+    in the recursion's own base cases.  The states (n, i, c) visited are
+    memoized per x, so the sizes of every cluster of one (n, x) share them.
     """
     check_bits(x)
+    return _cluster_size_memo(x)(n, 0, c)
+
+
+@lru_cache(maxsize=16)
+def _cluster_size_memo(x: str):
     memo: dict[tuple[int, int, int], int] = {}
 
     def size(n: int, i: int, c: int) -> int:
@@ -103,7 +110,7 @@ def cluster_size_recurrence(n: int, x: str, c: int) -> int:
         memo[key] = result
         return result
 
-    return size(n, 0, c)
+    return size
 
 
 def _check_cluster_args(n: int, m: int, hx: int, c: int) -> None:

@@ -10,12 +10,14 @@ x[:i] in y1 and one of x[i:] in y2, so
 
     omega_x(y1 y2) = sum_i omega_{x[:i]}(y1) * omega_{x[i:]}(y2)
 
-and the whole weight vector is one integer matrix product of a prefix table
-(2^(n//2) rows) with a suffix table (2^(n - n//2) columns).  Every term and
-every partial sum is a nonnegative integer no larger than
-omega_x(y) <= C(n, m), so int64 arithmetic is exact whenever
-C(n, m) < 2^63; ``all_weights`` checks that bound before allocating anything.
-Callers convert to Python ints at the boundary.
+and the whole weight vector is the matrix product of a prefix table
+(2^(n//2) rows) with a suffix table (2^(n - n//2) columns).  Both tables are
+float64, so the product runs in BLAS, one block of about 2^16 strings at a
+time, and each block is written into one int64 output array.  Every table
+entry, term and partial sum is a nonnegative integer no larger than
+omega_x(y) <= C(n, m), and every such integer is exact in float64 while
+C(n, m) < 2^53 (every m at every n <= 56); ``all_weights`` checks that bound
+before allocating anything.  Callers convert to Python ints at the boundary.
 
 Full enumeration refuses to run above a size cap (default 22 bits) rather
 than silently thrash; override with the ``max_bits`` argument or the
@@ -59,16 +61,16 @@ def check_enumerable(n: int, max_bits: int | None = None) -> None:
         )
 
 
-def check_int64_exact(n: int, m: int) -> None:
-    """Refuse (n, m) whose embedding counts could overflow int64.
+def check_float64_exact(n: int, m: int) -> None:
+    """Refuse (n, m) whose embedding counts could be inexact in float64.
 
-    Every count, and every partial sum formed while computing one, is at most
-    C(n, m), so int64 is exact exactly when C(n, m) < 2^63.
+    Every count, and every partial sum formed while computing one, is an
+    integer at most C(n, m), so float64 is exact whenever C(n, m) < 2^53.
     """
-    if binomial(n, m) >= 1 << 63:
+    if binomial(n, m) >= 1 << 53:
         raise EnumerationCapExceeded(
-            f"embedding counts up to C({n},{m}) = {binomial(n, m)} do not fit "
-            f"in int64: exact enumeration needs C(n,m) < 2^63"
+            f"embedding counts up to C({n},{m}) = {binomial(n, m)} are not "
+            f"exact in float64: exact enumeration needs C(n,m) < 2^53"
         )
 
 
@@ -79,10 +81,10 @@ def _prefix_counts(masks: np.ndarray, k: int) -> np.ndarray:
     adds omega_{x[:i-1]}(u) to column i wherever x[i-1] = b.
     """
     m = masks.shape[1]
-    p = np.zeros((1, m + 1), dtype=np.int64)
+    p = np.zeros((1, m + 1))
     p[0, 0] = 1
     for _ in range(k):
-        q = np.empty((len(p), 2, m + 1), dtype=np.int64)
+        q = np.empty((len(p), 2, m + 1))
         q[:] = p[:, None]
         q[:, :, 1:] += p[:, None, :-1] * masks
         p = q.reshape(-1, m + 1)
@@ -96,29 +98,38 @@ def _suffix_counts(masks: np.ndarray, k: int) -> np.ndarray:
     column i wherever x[i] = b.
     """
     m = masks.shape[1]
-    s = np.zeros((1, m + 1), dtype=np.int64)
+    s = np.zeros((1, m + 1))
     s[0, -1] = 1
     for _ in range(k):
-        q = np.empty((2, len(s), m + 1), dtype=np.int64)
+        q = np.empty((2, len(s), m + 1))
         q[:] = s
         q[:, :, :-1] += s[:, 1:] * masks[:, None]
         s = q.reshape(-1, m + 1)
     return s
 
 
+STRING_BLOCK = 1 << 16  # strings per block of the product and of the counts
+
+
 def all_weights(x: str, n: int, max_bits: int | None = None) -> np.ndarray:
-    """omega_x(y) for every y of length n, as an int64 array indexed by y."""
+    """omega_x(y) for every y of length n, as an int64 array indexed by y.
+
+    The float64 product is taken STRING_BLOCK strings (whole prefix rows) at
+    a time: a one-shot product would first fill a float temporary the size
+    of the output.  Assigning a block to the int64 rows casts it exactly.
+    """
     check_bits(x)
     check_enumerable(n, max_bits)
-    check_int64_exact(n, len(x))
-    masks = np.array([[c == b for c in x] for b in "01"], dtype=np.int64)
+    check_float64_exact(n, len(x))
+    masks = np.array([[c == b for c in x] for b in "01"], dtype=np.float64)
     k = n // 2
     prefix = _prefix_counts(masks, k)
-    suffix = _suffix_counts(masks, n - k)
-    return (prefix @ suffix.T).reshape(-1)
-
-
-_COUNT_BLOCK = 1 << 16
+    suffix = _suffix_counts(masks, n - k).T
+    weights = np.empty((len(prefix), suffix.shape[1]), dtype=np.int64)
+    rows = max(1, STRING_BLOCK // suffix.shape[1])
+    for i in range(0, len(prefix), rows):
+        weights[i : i + rows] = prefix[i : i + rows] @ suffix
+    return weights.reshape(-1)
 
 
 def _popcounts(k: int) -> np.ndarray:
@@ -143,8 +154,8 @@ def hamming_weight_counts(select: np.ndarray, ham: np.ndarray, n: int) -> np.nda
     the size of ``ham``.
     """
     counts = np.zeros(n + 1, dtype=np.int64)
-    for i in range(0, len(ham), _COUNT_BLOCK):
-        block = slice(i, i + _COUNT_BLOCK)
+    for i in range(0, len(ham), STRING_BLOCK):
+        block = slice(i, i + STRING_BLOCK)
         counts += np.bincount(ham[block][select[block]], minlength=n + 1)
     return counts
 

@@ -13,7 +13,7 @@ from math import factorial
 
 import numpy as np
 
-from .core import binomial, check_bits
+from .core import binomial, check_bits, complement
 from .exhaustive import check_enumerable
 from .superspace import SHANNON, weight_classes
 
@@ -144,9 +144,12 @@ def pattern_sweep(
     """(x, kappa^2(x), *entropies) for every x of length m, in binary order.
 
     kappa^2 comes SWEEP_BLOCK patterns at a time from ``kappa_squared_block``.
-    With n, each x's weight histogram at length n is taken once and every
-    measure is evaluated from it (a float, so str() prints its repr());
-    without n nothing is enumerated and the rows are (x, kappa^2(x)).
+    With n, every measure is evaluated (a float, so str() prints its repr())
+    from one weight histogram at length n per orbit of x under reverse and
+    complement: omega_x(y) = omega_{rev x}(rev y) = omega_{comp x}(comp y),
+    so the four strings of an orbit have the same histogram, and only the
+    least of them is enumerated.
+    Without n nothing is enumerated and the rows are (x, kappa^2(x)).
     The 2^m patterns are held to the enumeration cap before any work starts.
     """
     if m < 1:
@@ -155,14 +158,19 @@ def pattern_sweep(
         raise ValueError(f"need 1 <= m <= n, got n={n} m={m}")
     check_enumerable(m, max_bits)
     rows = []
+    entropies: dict[str, tuple[float, ...]] = {}  # per orbit's least string
     for lo in range(0, 1 << m, SWEEP_BLOCK):
         kappas = kappa_squared_block(m, lo, min(lo + SWEEP_BLOCK, 1 << m))
         for i, kappa in enumerate(kappas, start=lo):
             x = format(i, f"0{m}b")
             row = (x, kappa)
             if n is not None:
-                wc = weight_classes(x, n, max_bits=max_bits)
-                row += tuple(wc.entropy(ms) for ms in measures)
+                comp = complement(x)
+                least = min(x, x[::-1], comp, comp[::-1])
+                if least not in entropies:
+                    wc = weight_classes(least, n, max_bits=max_bits)
+                    entropies[least] = tuple(wc.entropy(ms) for ms in measures)
+                row += entropies[least]
             rows.append(row)
     return rows
 

@@ -13,10 +13,11 @@ from delseq import (
     count_embeddings_dp,
 )
 from delseq.exhaustive import (
+    STRING_BLOCK,
     all_hamming_weights,
     all_weights,
     canonical_ends_last,
-    check_int64_exact,
+    check_float64_exact,
     hamming_weight_counts,
     resolve_max_bits,
 )
@@ -53,26 +54,37 @@ def test_all_weights_matches_dp_every_y_up_to_12():
 
 
 def test_all_weights_matches_dp_sampled_17_to_22():
+    # from n = 17 on the product runs in several blocks of STRING_BLOCK
+    # strings: sample every block, and reach m = n // 2, where the counts and
+    # the sums in the product are largest
     rng = random.Random(7919)
     for n in range(17, 23):
-        for m in (1, rng.randint(2, 6), rng.randint(7, 11)):
+        for m in (1, rng.randint(2, 6), rng.randint(7, 11), n // 2):
             x = "".join(rng.choice("01") for _ in range(m))
             w = all_weights(x, n)
+            assert w.dtype == np.int64 and w.shape == (1 << n,)
             assert int(w.sum()) == binomial(n, m) << (n - m)
-            for i in rng.sample(range(1 << n), 150):
+            samples = rng.sample(range(1 << n), 150)
+            for lo in range(0, 1 << n, STRING_BLOCK):
+                samples += rng.sample(range(lo, lo + STRING_BLOCK), 3)
+            for i in samples:
                 assert int(w[i]) == count_embeddings_dp(x, format(i, f"0{n}b"))
 
 
-def test_int64_exactness_guard():
-    assert binomial(66, 33) < 2**63 <= binomial(67, 33)
-    check_int64_exact(66, 33)
-    check_int64_exact(67, 0)
-    with pytest.raises(EnumerationCapExceeded, match=r"2\^63"):
-        check_int64_exact(67, 33)
+def test_float64_exactness_guard():
+    assert binomial(56, 28) < 2**53 <= binomial(57, 28)
+    check_float64_exact(56, 28)
+    check_float64_exact(57, 0)
+    for n, m in ((57, 28), (67, 33)):
+        with pytest.raises(EnumerationCapExceeded, match=r"2\^53"):
+            check_float64_exact(n, m)
     tracemalloc.start()
     try:
-        with pytest.raises(EnumerationCapExceeded, match=r"C\(67,33\)"):
-            all_weights("0" * 33, 67, max_bits=67)
+        for n, m in ((57, 28), (67, 33)):
+            with pytest.raises(
+                EnumerationCapExceeded, match=rf"C\({n},{m}\).*float64.*2\^53"
+            ):
+                all_weights("0" * m, n, max_bits=n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -8,6 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delseq import (
+    HARTLEY,
+    MIN_ENTROPY,
+    SHANNON,
     EnumerationCapExceeded,
     binomial,
     complement,
@@ -17,7 +20,9 @@ from delseq import (
     kappa_squared,
     omega_mean_asymptotic,
     omega_variance_asymptotic,
+    renyi,
     reverse,
+    weight_classes,
 )
 from delseq.exhaustive import all_weights
 
@@ -230,3 +235,33 @@ def test_kappa_squared_block_exact_past_int64(m):
         expected = [kappa_squared(format(i, f"0{m}b")) for i in range(lo, hi)]
         assert kappa_squared_block(m, lo, hi) == expected
     assert kappa_squared_block(m, 0, 1) == [kappa_max(m)]
+
+
+def test_pattern_sweep_one_histogram_per_orbit(monkeypatch):
+    # x, its reverse, complement and reverse complement share one histogram;
+    # every row must still equal its own pattern's entropies exactly
+    from delseq import hws
+
+    def burnside(m):
+        return (2**m + 2 ** ((m + 1) // 2) + (m % 2 == 0) * 2 ** (m // 2)) // 4
+
+    measures = (SHANNON, renyi(2.0), renyi(0.5), MIN_ENTROPY, HARTLEY)
+    built = []
+
+    def counting(x, n, max_bits=None):
+        built.append(x)
+        return weight_classes(x, n, max_bits=max_bits)
+
+    monkeypatch.setattr(hws, "weight_classes", counting)
+    assert burnside(10) == 272
+    for m in range(1, 11):
+        for n in (m + 1, m + 3) if m <= 8 else (m + 1,):
+            built.clear()
+            rows = hws.pattern_sweep(m, n, measures)
+            assert len(set(built)) == len(built) == burnside(m), (m, n)
+            assert [row[0] for row in rows] == all_strings(m)
+            if m > 8:
+                continue
+            for x, _, *hs in rows:
+                wc = weight_classes(x, n)
+                assert hs == [wc.entropy(ms) for ms in measures], (x, n)

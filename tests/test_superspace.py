@@ -140,7 +140,7 @@ def test_weight_classes_match_embedding_counter():
 
 
 def test_weight_classes_guards_match_build_posterior():
-    # not a bit string, m > n, n < 0, over the cap, C(67, 33) >= 2^63
+    # not a bit string, m > n, n < 0, over the cap, C(67, 33) >= 2^53
     for args in (("2", 3), ("11", 1), ("1", -1), ("1", 30), ("0" * 33, 67, 67)):
         errors = []
         for build in (build_posterior, weight_classes):
