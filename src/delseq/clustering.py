@@ -81,13 +81,13 @@ def cluster_size_recurrence(n: int, x: str, c: int) -> int:
     surplus symbol consumes c only when x starts with 0 (the surplus bit is
     then a one).  Out-of-range arguments (c < 0 or c + |x| > n) yield 0, as
     in the recursion's own base cases.  The states (n, i, c) visited are
-    memoized per x, so the sizes of every cluster of one (n, x) share them.
+    memoized for the latest x, so the clusters of one (n, x) share them.
     """
     check_bits(x)
     return _cluster_size_memo(x)(n, 0, c)
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)
 def _cluster_size_memo(x: str):
     memo: dict[tuple[int, int, int], int] = {}
 

@@ -148,9 +148,9 @@ def pattern_sweep(
     from one weight histogram at length n per orbit of x under reverse and
     complement: omega_x(y) = omega_{rev x}(rev y) = omega_{comp x}(comp y),
     so the four strings of an orbit have the same histogram, and only the
-    least of them is enumerated.
-    Without n nothing is enumerated and the rows are (x, kappa^2(x)).
-    The 2^m patterns are held to the enumeration cap before any work starts.
+    least of them is enumerated.  Without n nothing is enumerated and the
+    rows are (x, kappa^2(x)).  The 2^m patterns are held to the enumeration
+    cap before any work starts.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
