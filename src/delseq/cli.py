@@ -316,8 +316,14 @@ def format_rle(r: Rle) -> str:
     return f"s={r.first}," + ",".join(str(b) for b in r.runs)
 
 
+def _check_pattern(x: str, n: int) -> None:
+    """Refuse x unless it is a binary string with 1 <= |x| <= n."""
+    check_bits(x)
+    if not 1 <= len(x) <= n:
+        raise ValueError(f"need 1 <= |x| <= n, got |x|={len(x)} n={n}")
+
+
 def cmd_posterior(args) -> int:
-    check_bits(args.x)
     p = build_posterior(args.x, args.n, max_bits=args.max_bits)
     layout = Layout.of(
         args.format, "posterior", {"x": args.x, "n": args.n}, ["y", "omega", "prob"]
@@ -352,10 +358,8 @@ def cmd_kappa(args) -> int:
 
 def cmd_clusters(args) -> int:
     x, n = args.x, args.n
-    check_bits(x)
+    _check_pattern(x, n)
     m = len(x)
-    if not 1 <= m <= n:
-        raise ValueError(f"need 1 <= |x| <= n, got |x|={m} n={n}")
     weights = all_weights(x, n, max_bits=args.max_bits)
     ham = all_hamming_weights(n)
     hx = x.count("1")
@@ -384,9 +388,7 @@ def cmd_clusters(args) -> int:
 
 def cmd_singletons(args) -> int:
     x, n = args.x, args.n
-    check_bits(x)
-    if not 1 <= len(x) <= n:
-        raise ValueError(f"need 1 <= |x| <= n, got |x|={len(x)} n={n}")
+    _check_pattern(x, n)
     profile = rho(x)
     weights = all_weights(x, n, max_bits=args.max_bits)
     brute = int(np.count_nonzero(weights == 1))
@@ -420,10 +422,8 @@ def cmd_classes(args) -> int:
 
 
 def cmd_gchain(args) -> int:
-    check_bits(args.x)
+    _check_pattern(args.x, args.n)
     measure = parse_measure(args.measure)
-    if not 1 <= len(args.x) <= args.n:
-        raise ValueError(f"need 1 <= |x| <= n, got |x|={len(args.x)} n={args.n}")
     chain_rle = g_chain(rle_encode(args.x))
     hs = g_chain_entropies(args.x, args.n, measure, max_bits=args.max_bits)
     rows = [
@@ -441,9 +441,7 @@ def cmd_gchain(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    check_bits(args.x)
-    if not 1 <= len(args.x) <= args.n:
-        raise ValueError(f"need 1 <= |x| <= n, got |x|={len(args.x)} n={args.n}")
+    _check_pattern(args.x, args.n)
     wc = weight_classes(args.x, args.n, max_bits=args.max_bits)
     est = entropy_estimate_from_moments(wc)
     exact = wc.entropy()

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import binomial, check_bits
+from .core import _check_nm, binomial, check_bits
 from .embeddings import Mask
 
 
@@ -114,8 +114,7 @@ def _cluster_size_memo(x: str):
 
 
 def _check_cluster_args(n: int, m: int, hx: int, c: int) -> None:
-    if m > n or m < 0:
-        raise ValueError(f"need 0 <= m <= n, got n={n} m={m}")
+    _check_nm(n, m)
     if not 0 <= hx <= m:
         raise ValueError(f"need 0 <= h(x) <= m, got h(x)={hx} m={m}")
     if not 0 <= c <= n - m:

@@ -19,6 +19,12 @@ def check_bits(s: str) -> str:
     return s
 
 
+def _check_nm(n: int, m: int) -> None:
+    """Refuse lengths outside 0 <= m <= n."""
+    if not 0 <= m <= n:
+        raise ValueError(f"need 0 <= m <= n, got n={n} m={m}")
+
+
 def hamming_weight(s: str) -> int:
     """Number of '1' symbols in ``s``."""
     check_bits(s)

@@ -11,7 +11,7 @@ import math
 from collections import Counter
 from typing import NamedTuple
 
-from .core import Rle, binomial, check_bits, g_chain, rle_decode, rle_encode
+from .core import Rle, _check_nm, binomial, g_chain, rle_decode, rle_encode
 from .exhaustive import EnumerationCapExceeded, resolve_max_bits
 from .superspace import SHANNON, Measure, WeightClasses, total_masks, weight_classes
 
@@ -44,8 +44,7 @@ def min_renyi2_closed(n: int, m: int) -> float:
 
 def min_minentropy_closed(n: int, m: int) -> int:
     """Min-entropy of the constant string's posterior: exactly n - m."""
-    if not 0 <= m <= n:
-        raise ValueError(f"need 0 <= m <= n, got n={n} m={m}")
+    _check_nm(n, m)
     return n - m
 
 
@@ -147,7 +146,6 @@ def g_chain_entropies(
     x: str, n: int, measure: Measure = SHANNON, max_bits: int | None = None
 ) -> list[float]:
     """Entropies along x, g(x), g(g(x)), ... down to the single-run string."""
-    check_bits(x)
     return [
         weight_classes(rle_decode(r), n, max_bits=max_bits).entropy(measure)
         for r in g_chain(rle_encode(x))

@@ -119,6 +119,8 @@ def all_weights(x: str, n: int, max_bits: int | None = None) -> np.ndarray:
     of the output.  Assigning a block to the int64 rows casts it exactly.
     """
     check_bits(x)
+    if n < 0:
+        raise ValueError(f"need n >= 0, got n={n}")
     check_enumerable(n, max_bits)
     check_float64_exact(n, len(x))
     masks = np.array([[c == b for c in x] for b in "01"], dtype=np.float64)

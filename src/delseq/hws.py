@@ -13,7 +13,7 @@ from math import factorial
 
 import numpy as np
 
-from .core import binomial, check_bits, complement
+from .core import _check_nm, binomial, check_bits, complement
 from .exhaustive import check_enumerable
 from .superspace import SHANNON, weight_classes
 
@@ -113,8 +113,7 @@ def kappa_max(m: int) -> int:
 
 def omega_mean_asymptotic(n: int, m: int) -> float:
     """Leading term of the mean embedding count: n^m / (2^m m!)."""
-    if not 0 <= m <= n:
-        raise ValueError(f"need 0 <= m <= n, got n={n} m={m}")
+    _check_nm(n, m)
     return n**m / (2**m * factorial(m))
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import binomial, check_bits
+from .core import _check_nm, binomial, check_bits
 from .exhaustive import all_weights
 
 
@@ -36,11 +36,6 @@ def masks_per_cluster(n: int, m: int, a: int) -> int:
     if not 0 <= a <= n - m:
         raise ValueError(f"extra-ones count {a} outside [0, {n - m}]")
     return binomial(n, m) * binomial(n - m, a)
-
-
-def _check_nm(n: int, m: int) -> None:
-    if n < 0 or m < 0 or m > n:
-        raise ValueError(f"need 0 <= m <= n, got n={n} m={m}")
 
 
 @dataclass(frozen=True)

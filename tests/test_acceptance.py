@@ -13,35 +13,25 @@ import random
 import time
 from contextlib import contextmanager
 
-import numpy as np
-import pytest
-
 from delseq import (
-    apply_g,
     count_embeddings_dp,
     count_embeddings_runs,
-    count_singletons,
     double_deletion_classes,
     embedding_counts_by_block_map,
     enumerate_masks,
-    expected_distinct_subsequences,
-    distinct_subsequence_profile,
-    kappa_max,
-    kappa_squared,
-    maximal_initials_total,
-    omega_mean_asymptotic,
-    omega_variance_asymptotic,
     renyi,
     single_deletion_classes,
     Rle,
 )
 from delseq.cli import main
-from delseq.exhaustive import all_weights
 from delseq.verify import (
     suite_closed_minima,
     suite_cluster_census,
+    suite_hws_kappa,
+    suite_hws_moments,
     suite_moment_estimate,
     suite_posterior_laws,
+    suite_singleton_extremization,
 )
 
 SEED = 20260810
@@ -59,10 +49,6 @@ def criterion(label, budget=None):
     print(f"\n{label}: PASS ({elapsed:.1f}s)")
     if budget is not None:
         assert elapsed < budget, f"{label} exceeded {budget}s budget"
-
-
-def all_strings(n):
-    return [format(i, f"0{n}b") for i in range(1 << n)] if n else [""]
 
 
 def compositions(total):
@@ -211,58 +197,23 @@ def test_criterion_6_deletion_class_identities():
 
 
 def test_criterion_7_singletons():
-    """Insertion-slot formula equals brute force for m <= 8, n <= 12, with the
-    constant/alternating strings as unique extremizers."""
+    """Insertion-slot formula equals brute force for every x, n <= 12, with the
+    constant/alternating strings as unique extremizers for m <= 8."""
     with criterion("criterion 7 (singletons)"):
-        for m in range(1, 9):
-            strings = all_strings(m)
-            for n in range(m, 13):
-                counts = {}
-                for x in strings:
-                    counts[x] = count_singletons(n, x)
-                    brute = int(np.count_nonzero(all_weights(x, n) == 1))
-                    assert counts[x] == brute, f"x={x} n={n}"
-                if m >= 2 and n > m:
-                    top = max(counts.values())
-                    bottom = min(counts.values())
-                    assert {x for x, v in counts.items() if v == top} == {
-                        "0" * m,
-                        "1" * m,
-                    }
-                    assert {x for x, v in counts.items() if v == bottom} == {
-                        "".join("01"[i % 2] for i in range(m)),
-                        "".join("10"[i % 2] for i in range(m)),
-                    }
+        census = suite_cluster_census(12, random.Random(SEED))
+        assert census.ok, census.failures[:3]
+        extremes = suite_singleton_extremization(12, random.Random(SEED))
+        assert extremes.ok, extremes.failures[:3]
 
 
 def test_criterion_8_hws_asymptotics():
     """m=1 moments exact; m=3 ratios inside [0.8, 1.2] at n=20 and moving
     toward 1 from n=12; kappa-max formula matches exhaustive maxima m <= 12."""
     with criterion("criterion 8 (hidden-word asymptotics)"):
-        for n in range(2, 15):
-            w = all_weights("0", n).astype(float)
-            assert float(w.mean()) == pytest.approx(
-                omega_mean_asymptotic(n, 1), abs=1e-9
-            )
-            assert float(w.var()) == pytest.approx(
-                omega_variance_asymptotic(n, "0"), abs=1e-9
-            )
-        x = "010"
-        ratios = {}
-        for n in (12, 20):
-            w = all_weights(x, n).astype(float)
-            ratios[n] = (
-                float(w.mean()) / omega_mean_asymptotic(n, 3),
-                float(w.var()) / omega_variance_asymptotic(n, x),
-            )
-        for i, name in enumerate(("mean", "variance")):
-            assert 0.8 <= ratios[20][i] <= 1.2, f"{name} ratio at n=20"
-            assert abs(ratios[20][i] - 1) < abs(ratios[12][i] - 1), (
-                f"{name} ratio not moving toward 1"
-            )
-        for m in range(1, 13):
-            values = [kappa_squared(x) for x in all_strings(m)]
-            assert max(values) == kappa_max(m)
+        moments = suite_hws_moments(20, random.Random(SEED))
+        assert moments.ok, moments.failures[:3]
+        kappa = suite_hws_kappa(12, random.Random(SEED))
+        assert kappa.ok, kappa.failures[:3]
 
 
 def test_criterion_9_moment_estimate_bound():
@@ -275,12 +226,5 @@ def test_criterion_9_moment_estimate_bound():
 def test_criterion_10_distinct_subsequence_expectation():
     """Closed-form E_t(n) equals the brute-force mean within 1e-9, n <= 12."""
     with criterion("criterion 10 (distinct-subsequence expectation)"):
-        for n in range(1, 13):
-            totals = [0] * (n + 1)
-            for y in all_strings(n):
-                profile = distinct_subsequence_profile(y)
-                for m in range(n + 1):
-                    totals[m] += profile[m]
-            for t in range(n + 1):
-                mean = totals[n - t] / (1 << n)
-                assert abs(expected_distinct_subsequences(n, t) - mean) <= 1e-9
+        laws = suite_posterior_laws(12, random.Random(SEED))
+        assert laws.ok, laws.failures[:3]

@@ -1,6 +1,5 @@
 """Clusters, maximal initials and singleton counting."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +17,6 @@ from delseq import (
     rho,
     uncertainty_cardinality,
 )
-from delseq.exhaustive import all_hamming_weights, all_weights, canonical_ends_last
 
 
 def all_strings(n):
@@ -121,33 +119,6 @@ def test_cluster_sizes_sum_to_cardinality():
                 assert total == uncertainty_cardinality(n, m)
 
 
-def test_cluster_three_way_agreement_exhaustive():
-    """Closed form = recurrence = brute-force census for every x, n <= 9."""
-    for n in range(1, 10):
-        ham = all_hamming_weights(n)
-        for m in range(1, n + 1):
-            for x in all_strings(m):
-                weights = all_weights(x, n)
-                hx = x.count("1")
-                for c in range(n - m + 1):
-                    brute = int(np.count_nonzero((weights > 0) & (ham == hx + c)))
-                    closed = cluster_size_closed(n, m, hx, c)
-                    rec = cluster_size_recurrence(n, x, c)
-                    assert brute == closed == rec
-
-
-def test_maximal_initials_cluster_brute_force():
-    for n in range(1, 10):
-        ham = all_hamming_weights(n)
-        for m in range(1, n + 1):
-            for x in all_strings(m):
-                maximal = canonical_ends_last(x, all_weights(x, n) > 0)
-                hx = x.count("1")
-                for c in range(n - m + 1):
-                    brute = int(np.count_nonzero(maximal & (ham == hx + c)))
-                    assert brute == maximal_initials_cluster(n, m, hx, c)
-
-
 def test_rho_examples():
     assert rho("000") == RhoProfile(rho0=4, rho1=0)
     assert rho("110") == RhoProfile(rho0=1, rho1=2)
@@ -163,26 +134,3 @@ def test_count_singletons_examples():
     assert count_singletons(5, "010") == 3
     with pytest.raises(ValueError):
         count_singletons(2, "110")
-
-
-def test_count_singletons_brute_force():
-    for n in range(1, 10):
-        for m in range(1, n + 1):
-            for x in all_strings(m):
-                weights = all_weights(x, n)
-                assert count_singletons(n, x) == int(np.count_nonzero(weights == 1))
-
-
-def test_singleton_extremization_small():
-    for m in range(2, 7):
-        n = m + 3
-        counts = {x: count_singletons(n, x) for x in all_strings(m)}
-        constants = {"0" * m, "1" * m}
-        alternating = {
-            "".join("01"[i % 2] for i in range(m)),
-            "".join("10"[i % 2] for i in range(m)),
-        }
-        top = max(counts.values())
-        bottom = min(counts.values())
-        assert {x for x, v in counts.items() if v == top} == constants
-        assert {x for x, v in counts.items() if v == bottom} == alternating

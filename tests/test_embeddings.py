@@ -18,7 +18,8 @@ from delseq import (
     reverse,
     rle_encode,
 )
-from delseq.embeddings import block_map_of_mask, sigma
+from delseq.embeddings import sigma
+from delseq.verify import suite_embeddings_partition, suite_embeddings_three_way
 
 bit_pairs = st.integers(1, 14).flatmap(
     lambda n: st.tuples(
@@ -103,14 +104,8 @@ def test_runs_mismatched_first_symbol():
 
 
 def test_three_way_agreement_exhaustive_small():
-    for n in range(0, 8):
-        for y in all_strings(n):
-            for m in range(0, n + 1):
-                for x in all_strings(m):
-                    dp = count_embeddings_dp(x, y)
-                    assert dp == count_embeddings_runs(x, y)
-                    if n <= 6:
-                        assert dp == len(enumerate_masks(x, y))
+    result = suite_embeddings_three_way(7, random.Random(0))
+    assert result.ok, result.failures[:3]
 
 
 def test_runs_equals_block_map_decomposition_exhaustive():
@@ -201,23 +196,8 @@ def test_monotonicity_bound(pair):
 
 def test_block_map_partition_exhaustive():
     """Masks grouped by their block map form the partition the counter sums."""
-    for n in range(1, 8):
-        for y in all_strings(n):
-            ry = rle_encode(y)
-            for m in range(1, n + 1):
-                for x in all_strings(m):
-                    if x[0] != y[0]:
-                        continue
-                    rx = rle_encode(x)
-                    masks = enumerate_masks(x, y)
-                    groups = {}
-                    for mask in masks:
-                        f = block_map_of_mask(mask, rx, ry)
-                        groups.setdefault(f, []).append(mask)
-                    counts = dict(embedding_counts_by_block_map(x, y))
-                    assert set(groups) <= set(counts)
-                    for f, size in counts.items():
-                        assert len(groups.get(f, [])) == size
+    result = suite_embeddings_partition(7, random.Random(0))
+    assert result.ok, result.failures[:3]
 
 
 def test_mismatched_symbol_masks_shift():

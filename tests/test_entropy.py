@@ -24,7 +24,6 @@ from delseq import (
     posterior_shannon,
     renyi,
     reverse,
-    rle_decode,
     rle_encode,
     single_deletion_classes,
     total_masks,
@@ -35,6 +34,7 @@ from delseq import (
 )
 from delseq.exhaustive import all_weights
 from delseq.superspace import parse_measure
+from delseq.verify import suite_gchain_deletions
 
 compositions = st.lists(st.integers(1, 5), min_size=1, max_size=6)
 
@@ -245,33 +245,12 @@ def test_g_chain_entropies():
 
 
 def test_g_decreases_entropy_single_and_double():
-    for m, d in ((5, 1), (5, 2), (6, 1), (6, 2)):
-        classes = single_deletion_classes if d == 1 else double_deletion_classes
-        for x in all_strings(m):
-            r = rle_encode(x)
-            if r.block_count == 1:
-                continue
-            assert classes(r).entropy() > classes(apply_g(r)).entropy()
-
-
-def test_g_decreases_renyi_single_deletion():
-    for alpha in (0.5, 2.0, 4.0):
-        measure = renyi(alpha)
-        for x in all_strings(6):
-            r = rle_encode(x)
-            if r.block_count == 1:
-                continue
-            assert single_deletion_classes(r).entropy(measure) > (
-                single_deletion_classes(apply_g(r)).entropy(measure)
-            )
-
-
-def test_max_entropy_single_deletion_classification():
-    """Alternating x: m doubled-symbol strings of weight 2 plus two singletons."""
-    for m in range(2, 10):
-        x = "".join("01"[i % 2] for i in range(m))
-        census = single_deletion_classes(rle_encode(x))
-        assert census.classes == ((2, m), (1, 2))
+    """Entropies fall strictly along every merge chain at one and two
+    deletions, Renyi 0.5/2/4 fall at the first merge at one deletion, and the
+    alternating strings' single-deletion census is m weight-2 strings plus
+    two singletons."""
+    result = suite_gchain_deletions(10, random.Random(0))
+    assert result.ok, result.failures[:3]
 
 
 def test_entropy_estimate_point_distribution():

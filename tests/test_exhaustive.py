@@ -91,6 +91,12 @@ def test_float64_exactness_guard():
     assert peak < 1 << 20
 
 
+def test_all_weights_rejects_negative_length():
+    for x in ("0", ""):
+        with pytest.raises(ValueError, match="n >= 0"):
+            all_weights(x, -1)
+
+
 def test_all_hamming_weights():
     for n in range(0, 9):
         h = all_hamming_weights(n)

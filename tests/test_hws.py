@@ -2,7 +2,6 @@
 
 from math import comb
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -71,14 +70,6 @@ def test_kappa_max_values():
     assert kappa_max(2) == kappa_squared("00")
     with pytest.raises(ValueError):
         kappa_max(0)
-
-
-def test_kappa_max_exhaustive():
-    for m in range(1, 11):
-        values = {x: kappa_squared(x) for x in all_strings(m)}
-        assert max(values.values()) == kappa_max(m)
-        argmax = {x for x, v in values.items() if v == kappa_max(m)}
-        assert argmax == {"0" * m, "1" * m}
 
 
 def test_kappa_minimum_is_alternating():
