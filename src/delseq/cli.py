@@ -6,7 +6,7 @@ or, with ``--format json``, a single object with "schema", "params" and
 is byte-identical across identical invocations.
 
 Exit codes: 0 success, 1 verification failure (verify only), 2 invalid
-arguments, 3 enumeration-cap exceeded.
+arguments, 3 enumeration cap exceeded or out of memory.
 """
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ import csv
 import io
 import sys
 from dataclasses import dataclass
+from functools import cache
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -36,9 +37,8 @@ from .entropy import (
 from .exhaustive import (
     EnumerationCapExceeded,
     MAX_BITS_ENV,
-    all_hamming_weights,
-    all_weights,
     hamming_weight_counts,
+    weight_blocks,
 )
 from .hws import kappa_entropy_table, pattern_sweep, sorted_by_kappa
 from .superspace import Posterior, build_posterior, parse_measure, weight_classes
@@ -46,18 +46,21 @@ from .verify import run_all, suite_names
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except EnumerationCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (EnumerationCapExceeded, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
+# Built once per process: building it takes about 1.3 ms, a third of a small
+# query.  No default depends on the environment: the cap's variable is read
+# when a command runs.
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="delseq",
@@ -277,7 +280,7 @@ def posterior_rows(p: Posterior, layout: Layout):
     per distinct weight; the y digits come from the support array.  Each row
     is followed by ``layout.sep``: the total row always comes after them.
     """
-    values, classes = np.unique(p.omega, return_inverse=True)
+    values, rank = weight_ranks(p.omega)
     mark, lead = layout.mark, layout.lead
     # Python ints, so w / mu is the same float as for every other caller
     tails = [
@@ -292,13 +295,25 @@ def posterior_rows(p: Posterior, layout: Layout):
     head = np.frombuffer((lead[0] + mark).encode(), dtype=np.uint8)
     for start in range(0, len(p), RENDER_BLOCK_ROWS):
         stop = start + RENDER_BLOCK_ROWS
-        cls = classes[start:stop]
+        cls = rank[p.omega[start:stop]]
         text = np.hstack(
             [np.broadcast_to(head, (len(cls), len(head))), p.digits(start, stop),
              tail_table[cls]]
         )
         # drop the NUL padding of the shorter tails
         yield text.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def weight_ranks(omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct weights, ascending, and the rank of every weight 0..max.
+
+    ``rank[omega]`` is the class index that ``np.unique(omega,
+    return_inverse=True)`` returns, found by table lookup instead of a sort
+    of the support: the table has max(omega) + 1 <= C(n, m) + 1 entries, no
+    more than the 2^n weights the posterior was built from.
+    """
+    present = np.bincount(omega) > 0
+    return np.flatnonzero(present), np.cumsum(present) - 1
 
 
 def parse_rle(text: str) -> Rle:
@@ -360,11 +375,11 @@ def cmd_clusters(args) -> int:
     x, n = args.x, args.n
     _check_pattern(x, n)
     m = len(x)
-    weights = all_weights(x, n, max_bits=args.max_bits)
-    ham = all_hamming_weights(n)
     hx = x.count("1")
     # cluster c holds the support strings of Hamming weight hx + c
-    support = hamming_weight_counts(weights > 0, ham, n)
+    support = np.zeros(n + 1, dtype=np.int64)
+    for start, block in weight_blocks(x, n, max_bits=args.max_bits):
+        support += hamming_weight_counts(block > 0, start, n)
     rows = []
     for c in range(n - m + 1):
         rows.append(
@@ -390,8 +405,10 @@ def cmd_singletons(args) -> int:
     x, n = args.x, args.n
     _check_pattern(x, n)
     profile = rho(x)
-    weights = all_weights(x, n, max_bits=args.max_bits)
-    brute = int(np.count_nonzero(weights == 1))
+    brute = sum(
+        int(np.count_nonzero(block == 1))
+        for _, block in weight_blocks(x, n, max_bits=args.max_bits)
+    )
     emit(
         args,
         "singletons",

@@ -1,8 +1,8 @@
 """Vectorized whole-space enumeration over all 2^n strings of length n.
 
 These routines are the brute-force side of every dual-route check in the
-package: they compute per-string quantities for the entire space at once
-(strings are indexed by their value as an MSB-first binary number).
+package: they compute per-string quantities for the entire space (strings
+are indexed by their value as an MSB-first binary number).
 
 Embedding counts are computed meet-in-the-middle.  Writing y = y1 y2 with
 |y1| = n // 2, every embedding of x splits at some i into an embedding of
@@ -12,12 +12,20 @@ x[:i] in y1 and one of x[i:] in y2, so
 
 and the whole weight vector is the matrix product of a prefix table
 (2^(n//2) rows) with a suffix table (2^(n - n//2) columns).  Both tables are
-float64, so the product runs in BLAS, one block of about 2^16 strings at a
-time, and each block is written into one int64 output array.  Every table
-entry, term and partial sum is a nonnegative integer no larger than
-omega_x(y) <= C(n, m), and every such integer is exact in float64 while
-C(n, m) < 2^53 (every m at every n <= 56); ``all_weights`` checks that bound
-before allocating anything.  Callers convert to Python ints at the boundary.
+float64, so the product runs in BLAS.  ``weight_blocks`` is the one engine:
+it yields the product in blocks of whole prefix rows, about 2^16 strings
+each.  ``all_weights`` is those blocks copied into one int64 array, for the
+posterior dump and the oracles; every other whole-space result reduces the
+blocks one at a time and never holds 2^n weights.  The weight histogram
+counts a block with ``bincount`` from its least positive weight when that
+block's weights span no more values than it has strings, and sorts it
+otherwise, so its count table is never larger than the block.
+
+Every table entry, term and partial sum is a nonnegative integer no larger
+than omega_x(y) <= C(n, m), and every such integer is exact in float64 while
+C(n, m) < 2^53 (every m at every n <= 56); ``weight_blocks`` checks that
+bound before allocating anything.  Callers convert to Python ints at the
+boundary.
 
 Full enumeration refuses to run above a size cap (default 22 bits) rather
 than silently thrash; override with the ``max_bits`` argument or the
@@ -26,6 +34,7 @@ DELSEQ_MAX_BITS environment variable.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -108,29 +117,51 @@ def _suffix_counts(masks: np.ndarray, k: int) -> np.ndarray:
     return s
 
 
-STRING_BLOCK = 1 << 16  # strings per block of the product and of the counts
+STRING_BLOCK = 1 << 16  # strings per block of the product
 
 
-def all_weights(x: str, n: int, max_bits: int | None = None) -> np.ndarray:
-    """omega_x(y) for every y of length n, as an int64 array indexed by y.
+def weight_blocks(
+    x: str, n: int, max_bits: int | None = None
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The weights of every length-n y as float64 blocks of the product.
 
-    The float64 product is taken STRING_BLOCK strings (whole prefix rows) at
-    a time: a one-shot product would first fill a float temporary the size
-    of the output.  Assigning a block to the int64 rows casts it exactly.
+    Yields ``(start, block)`` in ascending order: ``block[i, j]`` is
+    omega_x(y) for ``y = (start + i) * 2^(n - n//2) + j``, that is, block rows
+    are the prefix rows ``start, start + 1, ...`` and its columns every
+    suffix.  A block holds about STRING_BLOCK strings (whole prefix rows).
+    Every argument is checked here, when the function is called, before
+    anything is allocated.
     """
     check_bits(x)
     if n < 0:
         raise ValueError(f"need n >= 0, got n={n}")
     check_enumerable(n, max_bits)
     check_float64_exact(n, len(x))
+    return _blocks(x, n)
+
+
+def _blocks(x: str, n: int) -> Iterator[tuple[int, np.ndarray]]:
     masks = np.array([[c == b for c in x] for b in "01"], dtype=np.float64)
     k = n // 2
     prefix = _prefix_counts(masks, k)
     suffix = _suffix_counts(masks, n - k).T
-    weights = np.empty((len(prefix), suffix.shape[1]), dtype=np.int64)
     rows = max(1, STRING_BLOCK // suffix.shape[1])
-    for i in range(0, len(prefix), rows):
-        weights[i : i + rows] = prefix[i : i + rows] @ suffix
+    for start in range(0, len(prefix), rows):
+        yield start, prefix[start : start + rows] @ suffix
+
+
+def all_weights(x: str, n: int, max_bits: int | None = None) -> np.ndarray:
+    """omega_x(y) for every y of length n, as an int64 array indexed by y.
+
+    The blocks of ``weight_blocks``, cast exactly to int64 as they are
+    copied in: a one-shot product would first fill a float temporary the
+    size of the output.
+    """
+    blocks = weight_blocks(x, n, max_bits)
+    k = n // 2
+    weights = np.empty((1 << k, 1 << (n - k)), dtype=np.int64)
+    for start, block in blocks:
+        weights[start : start + len(block)] = block
     return weights.reshape(-1)
 
 
@@ -142,24 +173,16 @@ def _popcounts(k: int) -> np.ndarray:
     return h
 
 
-def all_hamming_weights(n: int) -> np.ndarray:
-    """h(y) for every y of length n, as the outer sum of both halves' counts."""
-    k = n // 2
-    return np.add.outer(_popcounts(k), _popcounts(n - k)).reshape(-1)
+def hamming_weight_counts(select: np.ndarray, start: int, n: int) -> np.ndarray:
+    """``counts[h]``: how many selected y have Hamming weight h, h = 0..n.
 
-
-def hamming_weight_counts(select: np.ndarray, ham: np.ndarray, n: int) -> np.ndarray:
-    """``counts[h]``: how many y with ``select[y]`` have ``ham[y] == h``, h = 0..n.
-
-    Counted in blocks of 2^16 strings: one ``bincount`` of the whole
-    selection would first copy the selected int64 weights, a second array
-    the size of ``ham``.
+    ``select`` is shaped like a block of ``weight_blocks``: its row i holds
+    the y of prefix row ``start + i``, one column per suffix, so the Hamming
+    weight of an entry is that of its prefix plus that of its suffix.
     """
-    counts = np.zeros(n + 1, dtype=np.int64)
-    for i in range(0, len(ham), STRING_BLOCK):
-        block = slice(i, i + STRING_BLOCK)
-        counts += np.bincount(ham[block][select[block]], minlength=n + 1)
-    return counts
+    k = n // 2
+    ham = _popcounts(k)[start : start + len(select), None] + _popcounts(n - k)
+    return np.bincount(ham[select], minlength=n + 1)
 
 
 def canonical_ends_last(x: str, present: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _check_nm, binomial, check_bits
-from .exhaustive import all_weights
+from .exhaustive import all_weights, weight_blocks
 
 
 def uncertainty_cardinality(n: int, m: int) -> int:
@@ -141,17 +141,40 @@ class WeightClasses:
 def weight_classes(
     x: str, n: int, max_bits: int | None = None
 ) -> WeightClasses:
-    """The weight histogram of x over all length-n strings, from the engine."""
+    """The weight histogram of x over all length-n strings, from the engine.
+
+    Each block of the engine is reduced on its own to (weight, count) pairs
+    and the pairs are merged exactly in int64, so no array of 2^n weights is
+    ever held.  Strings x does not embed in are outside the set and dropped
+    first.  A block whose positive weights span a range no wider than the
+    block itself is counted by ``bincount`` from its least weight; a wider
+    block (x = 0^12 at n = 24 spans up to 41 times its block) is sorted
+    instead, so the count table never outgrows the block.
+    """
     check_bits(x)
     _check_nm(n, len(x))
-    weights = all_weights(x, n, max_bits=max_bits)
-    # strings x does not embed in are outside the set; dropping them before
-    # the sort, not after, keeps it to the support
-    values, counts = np.unique(weights[weights > 0], return_counts=True)
+    values, counts = [], []
+    for _, block in weight_blocks(x, n, max_bits=max_bits):
+        w = block[block > 0].astype(np.int64)
+        if not len(w):
+            continue
+        lo = w.min()
+        if w.max() - lo <= block.size:
+            present = np.bincount(w - lo)
+            (v,) = np.nonzero(present)
+            values.append(v + lo)
+            counts.append(present[v])
+        else:
+            v, c = np.unique(w, return_counts=True)
+            values.append(v)
+            counts.append(c)
+    merged, inverse = np.unique(np.concatenate(values), return_inverse=True)
+    totals = np.zeros(len(merged), dtype=np.int64)
+    np.add.at(totals, inverse, np.concatenate(counts))
     return WeightClasses(
         m=len(x),
         deletions=n - len(x),
-        classes=tuple(zip(values[::-1].tolist(), counts[::-1].tolist())),
+        classes=tuple(zip(merged[::-1].tolist(), totals[::-1].tolist())),
     )
 
 

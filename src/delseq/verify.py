@@ -38,12 +38,7 @@ from .entropy import (
     min_shannon_closed,
     single_deletion_classes,
 )
-from .exhaustive import (
-    all_hamming_weights,
-    all_weights,
-    canonical_ends_last,
-    hamming_weight_counts,
-)
+from .exhaustive import all_weights, canonical_ends_last, hamming_weight_counts
 from .superspace import MIN_ENTROPY, renyi
 
 
@@ -234,7 +229,8 @@ def _weight_vector_suites(max_n: int) -> tuple[SuiteResult, SuiteResult]:
     laws = SuiteResult("posterior-laws")
     census = SuiteResult("cluster-census")
     for n in range(1, min(max_n, 12) + 1):
-        ham = all_hamming_weights(n)
+        # the whole space as one block of the engine: one row per prefix
+        rows = 1 << (n // 2)
         for m in range(1, n + 1):
             card = superspace.uncertainty_cardinality(n, m)
             mu = superspace.total_masks(n, m)
@@ -253,8 +249,8 @@ def _weight_vector_suites(max_n: int) -> tuple[SuiteResult, SuiteResult]:
                     == card,
                     f"cluster sizes do not sum to |Y| x={x!r} n={n}",
                 )
-                in_support = hamming_weight_counts(w > 0, ham, n)
-                in_maximal = hamming_weight_counts(maximal, ham, n)
+                in_support = hamming_weight_counts((w > 0).reshape(rows, -1), 0, n)
+                in_maximal = hamming_weight_counts(maximal.reshape(rows, -1), 0, n)
                 total_max = 0
                 for c in range(n - m + 1):
                     brute = int(in_support[hx + c])

@@ -9,11 +9,14 @@ import math
 import tracemalloc
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from delseq.cli import RENDER_BLOCK_ROWS, emit, main, parse_rle, format_rle
+from delseq import cli, superspace
+from delseq.cli import RENDER_BLOCK_ROWS, emit, main, parse_rle, format_rle, weight_ranks
 from delseq.core import Rle
 from delseq.embeddings import count_embeddings_dp
+from delseq.exhaustive import all_weights
 
 
 def run_cli(capsys, *argv):
@@ -132,6 +135,24 @@ def test_cap_env_variable(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 8.00 TiB for an array", ""])
+def test_out_of_memory_exits_3(capsys, monkeypatch, message):
+    def allocate(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "weight_blocks", allocate)
+    monkeypatch.setattr(superspace, "all_weights", allocate)
+    for argv in (
+        ["singletons", "--x", "0110", "--n", "8"],
+        ["clusters", "--x", "0110", "--n", "8"],
+        ["posterior", "--x", "1", "--n", "3"],
+    ):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message or 'out of memory'}\n"
+
+
 def test_malformed_cap_env_variable(capsys, monkeypatch):
     monkeypatch.setenv("DELSEQ_MAX_BITS", "twenty")
     assert main(["posterior", "--x", "1", "--n", "4"]) == 2
@@ -211,6 +232,23 @@ def test_singletons_row(capsys):
     header, rows = parse_csv(out)
     assert header == ["rho0", "rho1", "count_formula", "count_bruteforce"]
     assert rows == [["1", "2", "6", "6"]]
+
+
+@pytest.mark.parametrize("n", [17, 18, 19, 20])
+def test_clusters_and_singletons_match_whole_array(capsys, n):
+    # streamed block by block, against counts over the whole weight array
+    index = np.arange(1 << n)
+    ham = sum((index >> b) & 1 for b in range(n))
+    for x in ("1001", "0110101001", "0000", "111000"):
+        w = all_weights(x, n)
+        hx, m = x.count("1"), len(x)
+        support = np.bincount(ham[w > 0], minlength=n + 1)[hx : hx + n - m + 1]
+        code, out = run_cli(capsys, "clusters", "--x", x, "--n", str(n))
+        assert code == 0
+        assert [int(r[3]) for r in parse_csv(out)[1]] == support.tolist()
+        code, out = run_cli(capsys, "singletons", "--x", x, "--n", str(n))
+        assert code == 0
+        assert int(parse_csv(out)[1][0][3]) == np.count_nonzero(w == 1)
 
 
 def test_classes_example(capsys):
@@ -344,6 +382,15 @@ def test_emit_json_empty_rows_and_params(capsys):
     emit(SimpleNamespace(format="json"), "demo", {}, ["a"], iter([]))
     out = capsys.readouterr().out
     assert out == '{\n  "schema": "demo",\n  "params": {},\n  "rows": []\n}\n'
+
+
+@pytest.mark.parametrize("x,n", [("", 3), ("1", 1), ("000", 8), ("0110100", 17)])
+def test_weight_ranks_match_sort(x, n):
+    omega = superspace.build_posterior(x, n).omega
+    values, inverse = np.unique(omega, return_inverse=True)
+    distinct, rank = weight_ranks(omega)
+    assert distinct.tolist() == values.tolist()
+    assert rank[omega].tolist() == inverse.tolist()
 
 
 class _Discard:

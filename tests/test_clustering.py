@@ -17,10 +17,8 @@ from delseq import (
     rho,
     uncertainty_cardinality,
 )
+from delseq.verify import _strings as all_strings
 
-
-def all_strings(n):
-    return [format(i, f"0{n}b") for i in range(1 << n)] if n else [""]
 
 
 def test_canonical_embedding_examples():

@@ -19,6 +19,7 @@ from delseq import (
     rle_encode,
 )
 from delseq.embeddings import sigma
+from delseq.verify import _strings as all_strings
 from delseq.verify import suite_embeddings_partition, suite_embeddings_three_way
 
 bit_pairs = st.integers(1, 14).flatmap(
@@ -37,9 +38,6 @@ def brute_count(x, y):
         if all(y[i] == b for i, b in zip(c, x))
     )
 
-
-def all_strings(n):
-    return [format(i, f"0{n}b") for i in range(1 << n)] if n else [""]
 
 
 def test_enumerate_masks_table_rows():

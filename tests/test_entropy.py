@@ -34,13 +34,11 @@ from delseq import (
 )
 from delseq.exhaustive import all_weights
 from delseq.superspace import parse_measure
+from delseq.verify import _strings as all_strings
 from delseq.verify import suite_gchain_deletions
 
 compositions = st.lists(st.integers(1, 5), min_size=1, max_size=6)
 
-
-def all_strings(n):
-    return [format(i, f"0{n}b") for i in range(1 << n)] if n else [""]
 
 
 def test_measure_validation():

@@ -14,17 +14,15 @@ from delseq import (
 )
 from delseq.exhaustive import (
     STRING_BLOCK,
-    all_hamming_weights,
     all_weights,
     canonical_ends_last,
     check_float64_exact,
     hamming_weight_counts,
     resolve_max_bits,
+    weight_blocks,
 )
+from delseq.verify import _strings as all_strings
 
-
-def all_strings(n):
-    return [format(i, f"0{n}b") for i in range(1 << n)] if n else [""]
 
 
 def test_all_weights_matches_dp():
@@ -50,7 +48,6 @@ def test_all_weights_matches_dp_every_y_up_to_12():
             w = all_weights(x, n)
             assert w.dtype == np.int64 and w.shape == (1 << n,)
             assert w.tolist() == [count_embeddings_dp(x, y) for y in ys], (x, n)
-        assert all_hamming_weights(n).tolist() == [y.count("1") for y in ys]
 
 
 def test_all_weights_matches_dp_sampled_17_to_22():
@@ -97,20 +94,40 @@ def test_all_weights_rejects_negative_length():
             all_weights(x, -1)
 
 
-def test_all_hamming_weights():
-    for n in range(0, 9):
-        h = all_hamming_weights(n)
+def test_weight_blocks_checks_when_called():
+    # a bad argument raises at the call, before any block is asked for
+    for args, error in (
+        (("012", 5), ValueError),
+        (("0", -1), ValueError),
+        (("1", 25), EnumerationCapExceeded),
+        (("0" * 28, 57, 57), EnumerationCapExceeded),
+    ):
+        with pytest.raises(error):
+            weight_blocks(*args)
+
+
+def test_hamming_weight_counts_of_each_string():
+    # a one-row block selecting only y = u * 2^(n - k) + v counts h(y) once
+    for n in range(0, 13):
+        columns = 1 << (n - n // 2)
         for i, y in enumerate(all_strings(n)):
-            assert int(h[i]) == y.count("1")
+            select = np.zeros((1, columns), dtype=bool)
+            select[0, i % columns] = True
+            counts = hamming_weight_counts(select, i // columns, n)
+            assert counts.tolist() == [int(h == y.count("1")) for h in range(n + 1)]
 
 
 def test_hamming_weight_counts_match_per_weight_scan():
-    # n = 17 and 18 span several 2^16-string blocks, with a partial last one
+    # the engine's own blocks, summed: n = 17 and 18 span several of them
     rng = random.Random(5)
     for n in (0, 1, 5, 16, 17, 18):
-        ham = all_hamming_weights(n)
+        ham = np.array([y.count("1") for y in all_strings(n)])
         select = np.array([rng.random() < 0.7 for _ in range(1 << n)])
-        counts = hamming_weight_counts(select, ham, n)
+        rows = select.reshape(1 << (n // 2), -1)
+        counts = sum(
+            hamming_weight_counts(rows[start : start + len(block)], start, n)
+            for start, block in weight_blocks("1", n, max_bits=n)
+        )
         assert counts.dtype == np.int64
         assert counts.tolist() == [
             int(np.count_nonzero(select & (ham == h))) for h in range(n + 1)

@@ -24,12 +24,10 @@ from delseq import (
     weight_classes,
 )
 from delseq.exhaustive import all_weights
+from delseq.verify import _alternating, _strings as all_strings
 
 patterns = st.text(alphabet="01", min_size=1, max_size=12)
 
-
-def all_strings(m):
-    return [format(i, f"0{m}b") for i in range(1 << m)]
 
 
 def test_kappa_squared_values():
@@ -78,10 +76,7 @@ def test_kappa_minimum_is_alternating():
         values = {x: kappa_squared(x) for x in all_strings(m)}
         low = min(values.values())
         argmin = {x for x, v in values.items() if v == low}
-        assert argmin == {
-            "".join("01"[i % 2] for i in range(m)),
-            "".join("10"[i % 2] for i in range(m)),
-        }
+        assert argmin == _alternating(m)
 
 
 def test_omega_mean_asymptotic():

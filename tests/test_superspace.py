@@ -2,6 +2,7 @@
 
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,10 +20,9 @@ from delseq import (
     uncertainty_cardinality,
     weight_classes,
 )
+from delseq.exhaustive import all_weights
+from delseq.verify import _strings as all_strings
 
-
-def all_strings(n):
-    return [format(i, f"0{n}b") for i in range(1 << n)] if n else [""]
 
 
 def test_uncertainty_cardinality():
@@ -137,6 +137,41 @@ def test_weight_classes_match_embedding_counter():
                 del counts[0]
                 expected = tuple(sorted(counts.items(), reverse=True))
                 assert weight_classes(x, n).classes == expected, (x, n)
+
+
+@pytest.mark.parametrize(
+    "x, n, branches",
+    [
+        ("0110101001", 16, {"bincount"}),  # one block
+        ("0110101001", 17, {"bincount"}),
+        ("1001", 18, {"bincount"}),
+        ("11111111", 19, {"bincount", "sort"}),
+        ("0" * 10, 20, {"bincount", "sort"}),  # blocks wider than they are long
+        ("01" * 5, 20, {"bincount"}),
+    ],
+)
+def test_weight_classes_match_whole_space_sort(monkeypatch, x, n, branches):
+    """Block by block, each by count or by sort, then merged: the sort of all 2^n."""
+    w = all_weights(x, n)
+    values, counts = np.unique(w[w > 0], return_counts=True)
+    ran = set()
+    unique, bincount = np.unique, np.bincount
+
+    def sort(a, **kwargs):
+        if kwargs.get("return_counts"):  # the merge asks for the inverse
+            ran.add("sort")
+        return unique(a, **kwargs)
+
+    def count(a, *args, **kwargs):
+        ran.add("bincount")
+        return bincount(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", sort)
+    monkeypatch.setattr(np, "bincount", count)
+    classes = weight_classes(x, n).classes
+    monkeypatch.undo()
+    assert classes == tuple(zip(values[::-1].tolist(), counts[::-1].tolist()))
+    assert ran == branches
 
 
 def test_weight_classes_guards_match_build_posterior():
