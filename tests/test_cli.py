@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from delseq import cli, superspace
-from delseq.cli import RENDER_BLOCK_ROWS, emit, main, parse_rle, format_rle, weight_ranks
+from delseq.cli import RENDER_BLOCK_ROWS, emit, main, parse_rle, format_rle
 from delseq.core import Rle
 from delseq.embeddings import count_embeddings_dp
 from delseq.exhaustive import all_weights
@@ -388,7 +388,7 @@ def test_emit_json_empty_rows_and_params(capsys):
 def test_weight_ranks_match_sort(x, n):
     omega = superspace.build_posterior(x, n).omega
     values, inverse = np.unique(omega, return_inverse=True)
-    distinct, rank = weight_ranks(omega)
+    distinct, rank = cli.weight_ranks(omega)
     assert distinct.tolist() == values.tolist()
     assert rank[omega].tolist() == inverse.tolist()
 

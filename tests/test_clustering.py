@@ -20,7 +20,6 @@ from delseq import (
 from delseq.verify import _strings as all_strings
 
 
-
 def test_canonical_embedding_examples():
     assert canonical_embedding("1011", "110011") == (1, 3, 5, 6)
     assert canonical_embedding("1011", "101011") == (1, 2, 3, 5)

@@ -39,7 +39,6 @@ def brute_count(x, y):
     )
 
 
-
 def test_enumerate_masks_table_rows():
     assert enumerate_masks("110", "11000") == [(1, 2, 3), (1, 2, 4), (1, 2, 5)]
     assert enumerate_masks("110", "01010") == [(2, 4, 5)]

@@ -40,7 +40,6 @@ from delseq.verify import suite_gchain_deletions
 compositions = st.lists(st.integers(1, 5), min_size=1, max_size=6)
 
 
-
 def test_measure_validation():
     with pytest.raises(ValueError):
         Measure("renyi")

@@ -24,7 +24,6 @@ from delseq.exhaustive import (
 from delseq.verify import _strings as all_strings
 
 
-
 def test_all_weights_matches_dp():
     for n in range(0, 9):
         ys = all_strings(n)

@@ -29,7 +29,6 @@ from delseq.verify import _alternating, _strings as all_strings
 patterns = st.text(alphabet="01", min_size=1, max_size=12)
 
 
-
 def test_kappa_squared_values():
     assert kappa_squared("11111") == 630
     assert kappa_squared("01010") == 350

@@ -24,7 +24,6 @@ from delseq.exhaustive import all_weights
 from delseq.verify import _strings as all_strings
 
 
-
 def test_uncertainty_cardinality():
     assert uncertainty_cardinality(5, 3) == 16
     assert uncertainty_cardinality(7, 7) == 1
