@@ -50,9 +50,7 @@ from .exhaustive import (
     EnumerationCapExceeded,
 )
 from .hws import (
-    KappaMatrices,
     kappa_entropy_table,
-    kappa_matrices,
     kappa_max,
     kappa_squared,
     omega_mean_asymptotic,
@@ -63,9 +61,7 @@ from .superspace import (
     MIN_ENTROPY,
     SHANNON,
     Measure,
-    Posterior,
     WeightClasses,
-    build_posterior,
     count_distinct_subsequences,
     distinct_subsequence_profile,
     expected_distinct_subsequences,

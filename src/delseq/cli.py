@@ -41,7 +41,7 @@ from .exhaustive import (
     weight_blocks,
 )
 from .hws import kappa_entropy_table, pattern_sweep, sorted_by_kappa
-from .superspace import Posterior, build_posterior, parse_measure, weight_classes
+from .superspace import parse_measure, total_masks, weight_classes
 from .verify import run_all, suite_names
 
 
@@ -247,7 +247,8 @@ class Layout:
 
         ``body`` yields rows already laid out, each followed by ``sep``; they
         come before ``rows`` (any iterable of cell sequences, cells str()-ed
-        once), which then must not be empty.
+        once, first iterated once ``body`` is exhausted), which then must
+        not be empty.
         """
         out.write(self.head)
         empty = True
@@ -273,47 +274,71 @@ def emit(args, schema: str, params: dict, columns: list[str], rows) -> None:
     Layout.of(args.format, schema, params, columns).write(sys.stdout, rows)
 
 
-def posterior_rows(p: Posterior, layout: Layout):
-    """Yield the (y, omega, prob) rows of ``p`` laid out, in blocks of rows.
+def posterior_rows(blocks, n: int, mu: int, layout: Layout, total: list):
+    """Yield the (y, omega, prob) rows of the engine's ``blocks`` laid out.
 
-    Everything after y depends only on the weight, so it is formatted once
-    per distinct weight; the y digits come from the support array.  Each row
-    is followed by ``layout.sep``: the total row always comes after them.
+    A row is one fixed-width record: the lead and digits of y's prefix row,
+    the digits of its suffix column, and the text after y, which is
+    formatted once per distinct weight and picked by the weight's rank in
+    its block (a ``bincount`` from the least weight, or a sort when the
+    weights span more values than the block has strings).  Rows come in
+    slices of RENDER_BLOCK_ROWS, each followed by ``layout.sep``; then
+    ``total`` gets the total row, whose |Y| counts the rows yielded.
     """
-    values, rank = weight_ranks(p.omega)
     mark, lead = layout.mark, layout.lead
-    # Python ints, so w / mu is the same float as for every other caller
-    tails = [
-        f"{mark}{lead[1]}{mark}{w}{mark}{lead[2]}{mark}{w / p.mu!r}{mark}"
-        f"{layout.end}{layout.sep}".encode()
-        for w in values.tolist()
-    ]
-    width = max(map(len, tails), default=0)
-    tail_table = np.frombuffer(
-        b"".join(t.ljust(width, b"\0") for t in tails), dtype=np.uint8
-    ).reshape(len(tails), width)
-    head = np.frombuffer((lead[0] + mark).encode(), dtype=np.uint8)
-    for start in range(0, len(p), RENDER_BLOCK_ROWS):
-        stop = start + RENDER_BLOCK_ROWS
-        cls = rank[p.omega[start:stop]]
-        text = np.hstack(
-            [np.broadcast_to(head, (len(cls), len(head))), p.digits(start, stop),
-             tail_table[cls]]
+    # the text between y and omega, between omega and prob, and after prob
+    to_omega, to_prob = mark + lead[1] + mark, mark + lead[2] + mark
+    end = mark + layout.end + layout.sep
+    k = n // 2
+    shift = n - k  # y = (start + row) * 2^shift + column
+    # the numeral of 2^bits + v less its leading 1 is v in bits digits, even 0
+    suffixes = _records([f"{1 << shift | v:b}"[1:].encode() for v in range(2**shift)])
+    tails: dict[int, bytes] = {}
+    streamed = 0
+    for start, block in blocks:
+        weights = block.ravel()
+        (support,) = np.nonzero(weights)
+        if not len(support):
+            continue
+        omega = weights[support].astype(np.int64)
+        lo = omega.min()
+        if omega.max() - lo < len(omega):
+            present = np.bincount(omega - lo) > 0
+            values, rank = np.flatnonzero(present) + lo, np.cumsum(present) - 1
+            rank = rank[omega - lo]
+        else:
+            values, rank = np.unique(omega, return_inverse=True)
+        values = values.tolist()
+        for w in values:
+            if w not in tails:
+                # Python ints, so w / mu is the same float as for every other caller
+                tails[w] = f"{to_omega}{w}{to_prob}{w / mu!r}{end}".encode()
+        table = _records([tails[w] for w in values])
+        prefixes = _records(
+            [(lead[0] + mark + f"{1 << k | u:b}"[1:]).encode()
+             for u in range(start, start + len(block))]
         )
-        # drop the NUL padding of the shorter tails
-        yield text.tobytes().translate(None, b"\0").decode("ascii")
+        fields = [("prefix", prefixes.dtype), ("suffix", suffixes.dtype)]
+        records = np.empty(
+            min(len(support), RENDER_BLOCK_ROWS), fields + [("tail", table.dtype)]
+        )
+        for s in range(0, len(support), RENDER_BLOCK_ROWS):
+            index = support[s : s + RENDER_BLOCK_ROWS]  # row * 2^shift + column
+            text = records[: len(index)]
+            text["prefix"] = prefixes[index >> shift]
+            text["suffix"] = suffixes[index & ((1 << shift) - 1)]
+            text["tail"] = table[rank[s : s + RENDER_BLOCK_ROWS]]
+            # drop the NUL padding of the shorter tails
+            yield text.tobytes().translate(None, b"\0").decode("ascii")
+        streamed += len(support)
+    total.append(("total", mu, streamed))
 
 
-def weight_ranks(omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct weights, ascending, and the rank of every weight 0..max.
-
-    ``rank[omega]`` is the class index that ``np.unique(omega,
-    return_inverse=True)`` returns, found by table lookup instead of a sort
-    of the support: the table has max(omega) + 1 <= C(n, m) + 1 entries, no
-    more than the 2^n weights the posterior was built from.
-    """
-    present = np.bincount(omega) > 0
-    return np.flatnonzero(present), np.cumsum(present) - 1
+def _records(texts: list[bytes]) -> np.ndarray:
+    """The texts NUL-padded to the longest, as fixed-width records to gather."""
+    width = max(map(len, texts))
+    padded = b"".join(t.ljust(width, b"\0") for t in texts)
+    return np.ndarray(len(texts), (np.void, width), padded)
 
 
 def parse_rle(text: str) -> Rle:
@@ -339,11 +364,15 @@ def _check_pattern(x: str, n: int) -> None:
 
 
 def cmd_posterior(args) -> int:
-    p = build_posterior(args.x, args.n, max_bits=args.max_bits)
+    x, n = args.x, args.n
+    check_bits(x)
+    mu = total_masks(n, len(x))  # refuses m > n
+    blocks = weight_blocks(x, n, max_bits=args.max_bits)
     layout = Layout.of(
-        args.format, "posterior", {"x": args.x, "n": args.n}, ["y", "omega", "prob"]
+        args.format, "posterior", {"x": x, "n": n}, ["y", "omega", "prob"]
     )
-    layout.write(sys.stdout, [("total", p.mu, len(p))], body=posterior_rows(p, layout))
+    total = []  # the total row, once posterior_rows has yielded the others
+    layout.write(sys.stdout, total, body=posterior_rows(blocks, n, mu, layout, total))
     return 0
 
 

@@ -15,11 +15,12 @@ and the whole weight vector is the matrix product of a prefix table
 float64, so the product runs in BLAS.  ``weight_blocks`` is the one engine:
 it yields the product in blocks of whole prefix rows, about 2^16 strings
 each.  ``all_weights`` is those blocks copied into one int64 array, for the
-posterior dump and the oracles; every other whole-space result reduces the
-blocks one at a time and never holds 2^n weights.  The weight histogram
-counts a block with ``bincount`` from its least positive weight when that
-block's weights span no more values than it has strings, and sorts it
-otherwise, so its count table is never larger than the block.
+oracles only; every whole-space result the package reports, the posterior
+dump included, takes the blocks one at a time and never holds 2^n weights.
+The weight histogram counts a block with ``bincount`` from its least
+positive weight when that block's weights span no more values than it has
+strings, and sorts it otherwise, so its count table is never larger than
+the block.
 
 Every table entry, term and partial sum is a nonnegative integer no larger
 than omega_x(y) <= C(n, m), and every such integer is exact in float64 while
@@ -129,25 +130,23 @@ def weight_blocks(
     omega_x(y) for ``y = (start + i) * 2^(n - n//2) + j``, that is, block rows
     are the prefix rows ``start, start + 1, ...`` and its columns every
     suffix.  A block holds about STRING_BLOCK strings (whole prefix rows).
-    Every argument is checked here, when the function is called, before
-    anything is allocated.
+    Every argument is checked before anything is allocated, and both tables
+    are built when the function is called: any failure comes before a block.
     """
     check_bits(x)
     if n < 0:
         raise ValueError(f"need n >= 0, got n={n}")
     check_enumerable(n, max_bits)
     check_float64_exact(n, len(x))
-    return _blocks(x, n)
-
-
-def _blocks(x: str, n: int) -> Iterator[tuple[int, np.ndarray]]:
     masks = np.array([[c == b for c in x] for b in "01"], dtype=np.float64)
     k = n // 2
     prefix = _prefix_counts(masks, k)
     suffix = _suffix_counts(masks, n - k).T
     rows = max(1, STRING_BLOCK // suffix.shape[1])
-    for start in range(0, len(prefix), rows):
-        yield start, prefix[start : start + rows] @ suffix
+    return (
+        (start, prefix[start : start + rows] @ suffix)
+        for start in range(0, len(prefix), rows)
+    )
 
 
 def all_weights(x: str, n: int, max_bits: int | None = None) -> np.ndarray:

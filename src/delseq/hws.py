@@ -7,7 +7,6 @@ the entropy ordering of patterns of equal length.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
@@ -18,32 +17,13 @@ from .exhaustive import check_enumerable
 from .superspace import SHANNON, weight_classes
 
 
-@dataclass(frozen=True)
-class KappaMatrices:
-    """The indicator matrix B[r][s] = [x_r = x_s] and interleaving matrix M.
-
-    M[r][s] counts interleavings of two copies of x whose r-th and s-th
-    positions coincide; it does not depend on x.  The autocorrelation is the
-    total of the entrywise product of B and M.
-    """
-
-    indicator: tuple[tuple[int, ...], ...]
-    interleavings: tuple[tuple[int, ...], ...]
-
-    def kappa_squared(self) -> int:
-        return sum(
-            b * v
-            for brow, vrow in zip(self.indicator, self.interleavings)
-            for b, v in zip(brow, vrow)
-        )
-
-
 @lru_cache(maxsize=64)
 def interleaving_matrix(m: int) -> tuple[tuple[int, ...], ...]:
     """M[r][s] = C(r+s-2, r-1) * C(2m-r-s, m-r), 1-based indices.
 
-    It depends on m alone, so it is built once per m and shared (immutable)
-    by every pattern of that length.
+    M[r][s] counts the interleavings of two copies of a length-m string
+    whose r-th and s-th positions coincide.  It depends on m alone, so it is
+    built once per m and shared (immutable) by every pattern of that length.
     """
     return tuple(
         tuple(
@@ -54,19 +34,8 @@ def interleaving_matrix(m: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def kappa_matrices(x: str) -> KappaMatrices:
-    check_bits(x)
-    if not x:
-        raise ValueError("x must be nonempty")
-    m = len(x)
-    indicator = tuple(
-        tuple(int(x[r] == x[s]) for s in range(m)) for r in range(m)
-    )
-    return KappaMatrices(indicator=indicator, interleavings=interleaving_matrix(m))
-
-
 def kappa_squared(x: str) -> int:
-    """Autocorrelation coefficient of x."""
+    """Autocorrelation of x: interleaving_matrix(|x|) summed over x_r = x_s."""
     check_bits(x)
     if not x:
         raise ValueError("x must be nonempty")

@@ -4,8 +4,8 @@ For a received string x of length m, the uncertainty set contains every
 length-n string y that can project onto x; the posterior over it weights
 each y by its embedding count omega_x(y), normalized by
 mu = C(n,m) * 2^(n-m).  Every entropy is a function of the histogram of
-those weights (``WeightClasses``); only the per-string dump needs the
-posterior itself (``Posterior``).
+those weights (``WeightClasses``).  The one result with a row per y, the
+CLI's posterior dump, renders the engine's blocks as they come.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _check_nm, binomial, check_bits
-from .exhaustive import all_weights, weight_blocks
+from .exhaustive import weight_blocks
 
 
 def uncertainty_cardinality(n: int, m: int) -> int:
@@ -175,60 +175,6 @@ def weight_classes(
         m=len(x),
         deletions=n - len(x),
         classes=tuple(zip(merged[::-1].tolist(), totals[::-1].tolist())),
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class Posterior:
-    """The weighted uncertainty set for x at supersequence length n.
-
-    ``support`` holds, in ascending order, the MSB-first index of every
-    length-n y with at least one embedding, and ``omega`` the int64 weight
-    omega_x(y) of each; ``mu`` is the exact normalizer, so probabilities are
-    weight/mu.  ``len(p)`` is the support size.  Only the ``posterior`` dump
-    needs one row per y: everything else reads ``weight_classes``.  The
-    digits of y are built in bulk through ``digits()``, and as strings
-    through ``strings()``.
-    """
-
-    x: str
-    n: int
-    support: np.ndarray
-    omega: np.ndarray
-    mu: int
-
-    def __post_init__(self) -> None:
-        self.support.flags.writeable = False
-        self.omega.flags.writeable = False
-
-    def digits(self, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """The bits of y, MSB first, as ASCII '0'/'1' bytes for support[start:stop].
-
-        A uint8 array with one row of n bytes per y: the last n of the 64
-        bits of each big-endian index.
-        """
-        octets = self.support[start:stop].astype(">u8").view(np.uint8)
-        bits = np.unpackbits(octets.reshape(-1, 8), axis=1)[:, 64 - self.n :]
-        return bits + np.uint8(ord("0"))
-
-    def strings(self) -> list[str]:
-        """The supersequences y as bit strings, in support order."""
-        if self.n == 0:
-            return [""] * len(self)
-        return [y.decode() for y in self.digits().view(f"S{self.n}").ravel().tolist()]
-
-    def __len__(self) -> int:
-        return len(self.support)
-
-
-def build_posterior(x: str, n: int, max_bits: int | None = None) -> Posterior:
-    """Materialize the posterior for x over all length-n strings."""
-    check_bits(x)
-    _check_nm(n, len(x))
-    weights = all_weights(x, n, max_bits=max_bits)
-    (support,) = np.nonzero(weights)
-    return Posterior(
-        x=x, n=n, support=support, omega=weights[support], mu=total_masks(n, len(x))
     )
 
 

@@ -12,11 +12,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from delseq import cli, superspace
+from delseq import cli, exhaustive
 from delseq.cli import RENDER_BLOCK_ROWS, emit, main, parse_rle, format_rle
 from delseq.core import Rle
 from delseq.embeddings import count_embeddings_dp
-from delseq.exhaustive import all_weights
+from delseq.exhaustive import STRING_BLOCK, all_weights
 
 
 def run_cli(capsys, *argv):
@@ -141,7 +141,6 @@ def test_out_of_memory_exits_3(capsys, monkeypatch, message):
         raise MemoryError(message)
 
     monkeypatch.setattr(cli, "weight_blocks", allocate)
-    monkeypatch.setattr(superspace, "all_weights", allocate)
     for argv in (
         ["singletons", "--x", "0110", "--n", "8"],
         ["clusters", "--x", "0110", "--n", "8"],
@@ -151,6 +150,20 @@ def test_out_of_memory_exits_3(capsys, monkeypatch, message):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message or 'out of memory'}\n"
+
+
+@pytest.mark.parametrize("table", ["_prefix_counts", "_suffix_counts"])
+def test_posterior_table_allocation_failure_prints_nothing(capsys, monkeypatch, table):
+    # the engine builds its tables when called, so the dump fails before its header
+    def allocate(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 TiB for an array")
+
+    monkeypatch.setattr(exhaustive, table, allocate)
+    for fmt in ("csv", "json"):
+        assert main(["posterior", "--x", "1", "--n", "3", "--format", fmt]) == 3
+        assert capsys.readouterr() == (
+            "", "error: Unable to allocate 8.00 TiB for an array\n"
+        )
 
 
 def test_malformed_cap_env_variable(capsys, monkeypatch):
@@ -342,20 +355,38 @@ def reference_posterior_rows(x, n):
 @pytest.mark.parametrize(
     "x,n",
     [("", 0), ("", 3), ("1", 1), ("0110", 4), ("000", 8), ("0110", 9),
-     ("0110", 15)],
+     ("0110", 15), ("0110", 17)],
 )
 def test_posterior_matches_reference_renderer(capsys, x, n):
     rows = reference_posterior_rows(x, n)
-    if n == 15:
+    if n >= 15:  # several render slices
         assert len(rows) - 1 > RENDER_BLOCK_ROWS
+    if n == 17:  # and two engine blocks
+        assert 1 << n == 2 * STRING_BLOCK
     for fmt in ("csv", "json"):
         code, out = run_cli(
             capsys, "posterior", "--x", x, "--n", str(n), "--format", fmt
         )
         assert code == 0
-        assert out == reference_table(
+        expected = reference_table(
             fmt, "posterior", {"x": x, "n": n}, ["y", "omega", "prob"], rows
         )
+        # as lines: pytest reports the first that differs, not a diff of megabytes
+        assert out.splitlines(keepends=True) == expected.splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("x,n", [("000", 8), ("0110", 9)])
+def test_posterior_in_one_row_blocks(capsys, monkeypatch, x, n):
+    # one prefix row per engine block: every block has its own offset and tail
+    # table, and some span more weights than they hold strings (a sort ranks them)
+    monkeypatch.setattr(exhaustive, "STRING_BLOCK", 1)
+    rows = reference_posterior_rows(x, n)
+    for fmt in ("csv", "json"):
+        table = reference_table(
+            fmt, "posterior", {"x": x, "n": n}, ["y", "omega", "prob"], rows
+        )
+        argv = ("posterior", "--x", x, "--n", str(n), "--format", fmt)
+        assert run_cli(capsys, *argv) == (0, table)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -382,15 +413,6 @@ def test_emit_json_empty_rows_and_params(capsys):
     emit(SimpleNamespace(format="json"), "demo", {}, ["a"], iter([]))
     out = capsys.readouterr().out
     assert out == '{\n  "schema": "demo",\n  "params": {},\n  "rows": []\n}\n'
-
-
-@pytest.mark.parametrize("x,n", [("", 3), ("1", 1), ("000", 8), ("0110100", 17)])
-def test_weight_ranks_match_sort(x, n):
-    omega = superspace.build_posterior(x, n).omega
-    values, inverse = np.unique(omega, return_inverse=True)
-    distinct, rank = cli.weight_ranks(omega)
-    assert distinct.tolist() == values.tolist()
-    assert rank[omega].tolist() == inverse.tolist()
 
 
 class _Discard:

@@ -124,21 +124,6 @@ def test_min_minentropy_closed():
     assert direct == pytest.approx(5.0, abs=1e-12)
 
 
-def test_closed_minima_match_direct_small():
-    for n in range(1, 11):
-        for m in range(1, n + 1):
-            wc = weight_classes("0" * m, n)
-            assert min_shannon_closed(n, m) == pytest.approx(
-                wc.entropy(SHANNON), abs=1e-9
-            )
-            assert min_renyi2_closed(n, m) == pytest.approx(
-                wc.entropy(renyi(2)), abs=1e-9
-            )
-            assert min_minentropy_closed(n, m) == pytest.approx(
-                wc.entropy(MIN_ENTROPY), abs=1e-9
-            )
-
-
 def test_single_deletion_classes_examples():
     assert single_deletion_classes(rle_encode("10")).classes == ((2, 2), (1, 2))
     assert single_deletion_classes(rle_encode("00")).classes == ((3, 1), (1, 3))

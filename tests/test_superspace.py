@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from delseq import (
     EnumerationCapExceeded,
     binomial,
-    build_posterior,
     count_distinct_subsequences,
     count_embeddings_dp,
     expected_distinct_subsequences,
@@ -20,6 +19,7 @@ from delseq import (
     uncertainty_cardinality,
     weight_classes,
 )
+from delseq.cli import main
 from delseq.exhaustive import all_weights
 from delseq.verify import _strings as all_strings
 
@@ -48,35 +48,30 @@ def test_masks_per_cluster():
         masks_per_cluster(7, 5, 3)
 
 
-def test_build_posterior_small():
-    p = build_posterior("0", 2)
-    assert p.strings() == ["00", "01", "10"] and p.omega.tolist() == [2, 1, 1]
-    assert p.mu == 4
-    assert p.support.tolist() == [0, 1, 2] and len(p) == 3
-    assert all(type(w) is int for w in p.omega.tolist())
+def test_posterior_weights_small():
+    w = all_weights("0", 2)
+    assert w.tolist() == [2, 1, 1, 0]  # y = 00, 01, 10, 11
+    assert total_masks(2, 1) == 4 == sum(w.tolist())
 
 
-def test_build_posterior_table_values():
-    p = build_posterior("110", 5)
-    assert len(p) == 16
-    assert sum(p.omega.tolist()) == 40
-    by_y = dict(zip(p.strings(), p.omega.tolist()))
+def test_posterior_weights_table_values():
+    w = all_weights("110", 5).tolist()
+    assert sum(1 for v in w if v) == 16
+    assert sum(w) == 40
+    by_y = dict(zip(all_strings(5), w))
     assert by_y["11100"] == 6
     assert by_y["11110"] == 6
     # easy to drop in a hand census; the enumeration must keep it
     assert by_y["11010"] == 4
 
 
-def test_build_posterior_degenerate_and_errors():
-    p = build_posterior("0110", 4)
-    assert p.strings() == ["0110"] and p.omega.tolist() == [1]
-    empty = build_posterior("", 0)
-    assert empty.strings() == [""] and empty.omega.tolist() == [1]
-    with pytest.raises(ValueError):
-        build_posterior("11", 1)
+def test_posterior_weights_degenerate_and_cap():
+    w = all_weights("0110", 4).tolist()
+    assert w == [int(y == "0110") for y in all_strings(4)]
+    assert all_weights("", 0).tolist() == [1]
     with pytest.raises(EnumerationCapExceeded):
-        build_posterior("1", 30)
-    assert build_posterior("1", 23, max_bits=23).mu == total_masks(23, 1)
+        all_weights("1", 30)
+    assert all_weights("1", 23, max_bits=23).sum() == total_masks(23, 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -85,12 +80,10 @@ def test_build_posterior_degenerate_and_errors():
 ))
 def test_posterior_laws(args):
     n, x = args
-    p = build_posterior(x, n)
-    assert len(p) == uncertainty_cardinality(n, len(x))
-    weights = p.omega.tolist()
+    weights = all_weights(x, n).tolist()
+    assert sum(1 for w in weights if w) == uncertainty_cardinality(n, len(x))
     assert sum(weights) == total_masks(n, len(x))
-    assert all(w >= 1 for w in weights)
-    assert all(count_embeddings_dp(x, y) == w for y, w in zip(p.strings(), weights))
+    assert all(count_embeddings_dp(x, y) == w for y, w in zip(all_strings(n), weights))
 
 
 def test_weight_classes_examples():
@@ -173,15 +166,16 @@ def test_weight_classes_match_whole_space_sort(monkeypatch, x, n, branches):
     assert ran == branches
 
 
-def test_weight_classes_guards_match_build_posterior():
-    # not a bit string, m > n, n < 0, over the cap, C(67, 33) >= 2^53
-    for args in (("2", 3), ("11", 1), ("1", -1), ("1", 30), ("0" * 33, 67, 67)):
-        errors = []
-        for build in (build_posterior, weight_classes):
-            with pytest.raises((ValueError, EnumerationCapExceeded)) as info:
-                build(*args)
-            errors.append((type(info.value), str(info.value)))
-        assert errors[0] == errors[1], args
+def test_weight_classes_guards_match_posterior(capsys):
+    # not a bit string, m > n, n < 0, over the cap, C(67, 33) >= 2^53: the
+    # posterior dump refuses each with the same message, before any output
+    for x, n, *cap in (("2", 3), ("11", 1), ("1", -1), ("1", 30), ("0" * 33, 67, 67)):
+        with pytest.raises((ValueError, EnumerationCapExceeded)) as info:
+            weight_classes(x, n, *cap)
+        code = 3 if info.type is EnumerationCapExceeded else 2
+        argv = ["posterior", "--x", x, f"--n={n}"] + [f"--max-bits={b}" for b in cap]
+        assert main(argv) == code, (x, n)
+        assert capsys.readouterr() == ("", f"error: {info.value}\n")
 
 
 def test_count_distinct_subsequences():
