@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import sys
+from codecs import utf_8_decode
 from dataclasses import dataclass
 from functools import cache
 from json.encoder import encode_basestring_ascii
@@ -283,7 +284,10 @@ def posterior_rows(blocks, n: int, mu: int, layout: Layout, total: list):
     its block (a ``bincount`` from the least weight, or a sort when the
     weights span more values than the block has strings).  Rows come in
     slices of RENDER_BLOCK_ROWS, each followed by ``layout.sep``; then
-    ``total`` gets the total row, whose |Y| counts the rows yielded.
+    ``total`` gets the total row, whose |Y| counts the rows yielded.  A
+    slice's records are decoded straight from their buffer as UTF-8 with
+    errors ignored: every rendered byte is ASCII and the records' padding
+    byte 0xFF never occurs in UTF-8, so the decoder drops exactly the padding.
     """
     mark, lead = layout.mark, layout.lead
     # the text between y and omega, between omega and prob, and after prob
@@ -328,16 +332,15 @@ def posterior_rows(blocks, n: int, mu: int, layout: Layout, total: list):
             text["prefix"] = prefixes[index >> shift]
             text["suffix"] = suffixes[index & ((1 << shift) - 1)]
             text["tail"] = table[rank[s : s + RENDER_BLOCK_ROWS]]
-            # drop the NUL padding of the shorter tails
-            yield text.tobytes().translate(None, b"\0").decode("ascii")
+            yield utf_8_decode(text.view(np.uint8), "ignore", True)[0]
         streamed += len(support)
     total.append(("total", mu, streamed))
 
 
 def _records(texts: list[bytes]) -> np.ndarray:
-    """The texts NUL-padded to the longest, as fixed-width records to gather."""
+    """The texts 0xFF-padded to the longest, as fixed-width records to gather."""
     width = max(map(len, texts))
-    padded = b"".join(t.ljust(width, b"\0") for t in texts)
+    padded = b"".join(t.ljust(width, b"\xff") for t in texts)
     return np.ndarray(len(texts), (np.void, width), padded)
 
 

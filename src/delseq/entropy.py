@@ -13,7 +13,14 @@ from typing import NamedTuple
 
 from .core import Rle, _check_nm, binomial, g_chain, rle_decode, rle_encode
 from .exhaustive import EnumerationCapExceeded, resolve_max_bits
-from .superspace import SHANNON, Measure, WeightClasses, total_masks, weight_classes
+from .superspace import (
+    SHANNON,
+    Measure,
+    WeightClasses,
+    pattern_weight_classes,
+    total_masks,
+    weight_classes,
+)
 
 _LN2 = math.log(2)
 
@@ -145,10 +152,14 @@ def _e(t: int) -> float:
 def g_chain_entropies(
     x: str, n: int, measure: Measure = SHANNON, max_bits: int | None = None
 ) -> list[float]:
-    """Entropies along x, g(x), g(g(x)), ... down to the single-run string."""
+    """Entropies along x, g(x), g(g(x)), ... down to the single-run string.
+
+    The chain's strings all have the length of x: one engine sweep.
+    """
+    chain = [rle_decode(r) for r in g_chain(rle_encode(x))]
     return [
-        weight_classes(rle_decode(r), n, max_bits=max_bits).entropy(measure)
-        for r in g_chain(rle_encode(x))
+        wc.entropy(measure)
+        for wc in pattern_weight_classes(chain, n, max_bits=max_bits)
     ]
 
 

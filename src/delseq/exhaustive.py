@@ -12,19 +12,20 @@ x[:i] in y1 and one of x[i:] in y2, so
 
 and the whole weight vector is the matrix product of a prefix table
 (2^(n//2) rows) with a suffix table (2^(n - n//2) columns).  Both tables are
-float64, so the product runs in BLAS.  ``weight_blocks`` is the one engine:
-it yields the product in blocks of whole prefix rows, about 2^16 strings
-each.  ``all_weights`` is those blocks copied into one int64 array, for the
-oracles only; every whole-space result the package reports, the posterior
-dump included, takes the blocks one at a time and never holds 2^n weights.
-The weight histogram counts a block with ``bincount`` from its least
-positive weight when that block's weights span no more values than it has
-strings, and sorts it otherwise, so its count table is never larger than
-the block.
+float64, so the product runs in BLAS.  ``pattern_blocks`` is the one engine,
+over a list of patterns of one length: it yields the product in blocks of
+about 2^16 strings.  Below that size one block stacks the whole spaces of
+several patterns, one batched product of their stacked tables, so a pattern
+sweep at small n costs one product per block, not one per pattern; from
+2^16 strings on, a block is whole prefix rows of one pattern.
+``weight_blocks`` is the stack of one x, with 2-D blocks.  ``all_weights``
+is those blocks copied into one int64 array, for the oracles only; every
+whole-space result the package reports, the posterior dump included, takes
+the blocks one at a time and never holds 2^n weights.
 
 Every table entry, term and partial sum is a nonnegative integer no larger
 than omega_x(y) <= C(n, m), and every such integer is exact in float64 while
-C(n, m) < 2^53 (every m at every n <= 56); ``weight_blocks`` checks that
+C(n, m) < 2^53 (every m at every n <= 56); ``pattern_blocks`` checks that
 bound before allocating anything.  Callers convert to Python ints at the
 boundary.
 
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterator
+from functools import cache
 
 import numpy as np
 
@@ -85,40 +87,94 @@ def check_float64_exact(n: int, m: int) -> None:
 
 
 def _prefix_counts(masks: np.ndarray, k: int) -> np.ndarray:
-    """P[u, i] = omega_{x[:i]}(u) for every u of length k, i = 0..m.
+    """P[j, u, i] = omega_{x_j[:i]}(u) for every u of length k, i = 0..m.
 
-    ``masks[b, i]`` is 1 where x[i] = b.  Appending bit b to u (row 2u + b)
-    adds omega_{x[:i-1]}(u) to column i wherever x[i-1] = b.
+    ``masks[j, b, i]`` is 1 where x_j[i] = b, for a stack of patterns x_j of
+    one length m.  Appending bit b to u (row 2u + b) adds omega_{x[:i-1]}(u)
+    to column i wherever x[i-1] = b.
     """
-    m = masks.shape[1]
-    p = np.zeros((1, m + 1))
-    p[0, 0] = 1
+    stack, _, m = masks.shape
+    p = np.zeros((stack, 1, m + 1))
+    p[:, 0, 0] = 1
     for _ in range(k):
-        q = np.empty((len(p), 2, m + 1))
-        q[:] = p[:, None]
-        q[:, :, 1:] += p[:, None, :-1] * masks
-        p = q.reshape(-1, m + 1)
+        q = np.empty((stack, p.shape[1], 2, m + 1))
+        q[:] = p[:, :, None]
+        q[:, :, :, 1:] += p[:, :, None, :-1] * masks[:, None]
+        p = q.reshape(stack, -1, m + 1)
     return p
 
 
 def _suffix_counts(masks: np.ndarray, k: int) -> np.ndarray:
-    """S[v, i] = omega_{x[i:]}(v) for every v of length k, i = 0..m.
+    """S[j, v, i] = omega_{x_j[i:]}(v) for every v of length k, i = 0..m.
 
     Prepending bit b to v (row b * 2^j + v) adds omega_{x[i+1:]}(v) to
     column i wherever x[i] = b.
     """
-    m = masks.shape[1]
-    s = np.zeros((1, m + 1))
-    s[0, -1] = 1
+    stack, _, m = masks.shape
+    s = np.zeros((stack, 1, m + 1))
+    s[:, 0, -1] = 1
     for _ in range(k):
-        q = np.empty((2, len(s), m + 1))
-        q[:] = s
-        q[:, :, :-1] += s[:, 1:] * masks[:, None]
-        s = q.reshape(-1, m + 1)
+        q = np.empty((stack, 2, s.shape[1], m + 1))
+        q[:] = s[:, None]
+        q[:, :, :, :-1] += s[:, None, :, 1:] * masks[:, :, None]
+        s = q.reshape(stack, -1, m + 1)
     return s
 
 
 STRING_BLOCK = 1 << 16  # strings per block of the product
+
+
+def _tables(xs: list[str], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked prefix tables of xs and their stacked, transposed suffix tables."""
+    masks = np.array([[[c == b for c in x] for b in "01"] for x in xs], np.float64)
+    k = n // 2
+    return _prefix_counts(masks, k), _suffix_counts(masks, n - k).transpose(0, 2, 1)
+
+
+def patterns_per_block(n: int) -> int:
+    """How many whole spaces of length n a block stacks; 1 once 2^n >= STRING_BLOCK."""
+    return max(1, STRING_BLOCK // (1 << n))
+
+
+def pattern_blocks(
+    xs: list[str], n: int, max_bits: int | None = None
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """The weights of every length-n y under each of xs, as float64 blocks.
+
+    The patterns xs all have one length m.  Yields ``(first, start, block)``
+    in ascending order: ``block[j, i, c]`` is omega_{xs[first + j]}(y) for
+    ``y = (start + i) * 2^(n - n//2) + c``.  While 2^n < STRING_BLOCK, a block
+    stacks the whole spaces (start = 0, every prefix row) of the next
+    ``patterns_per_block(n)`` patterns, one batched product of their stacked
+    tables.  Otherwise a block is one pattern's next prefix rows, about
+    STRING_BLOCK strings, and each pattern's blocks follow its predecessor's.
+    Either way no block holds more than STRING_BLOCK strings while 2^(n -
+    n//2) <= STRING_BLOCK.  Every argument is checked before anything is
+    allocated, and the first stack's tables are built when the function is
+    called: any failure comes before a block.
+    """
+    xs = list(xs)
+    for x in xs:
+        check_bits(x)
+    if len({len(x) for x in xs}) != 1:
+        raise ValueError("a sweep needs one or more patterns, all of one length")
+    if n < 0:
+        raise ValueError(f"need n >= 0, got n={n}")
+    check_enumerable(n, max_bits)
+    check_float64_exact(n, len(xs[0]))
+    stack = patterns_per_block(n)
+    return _products(xs, n, stack, _tables(xs[:stack], n))
+
+
+def _products(xs, n, stack, tables):
+    """The blocks of ``pattern_blocks``, given the first stack's tables."""
+    rows = max(1, STRING_BLOCK // (1 << (n - n // 2)))
+    for first in range(0, len(xs), stack):
+        if first:
+            tables = _tables(xs[first : first + stack], n)
+        prefix, suffix = tables
+        for start in range(0, prefix.shape[1], rows):
+            yield first, start, prefix[:, start : start + rows] @ suffix
 
 
 def weight_blocks(
@@ -126,27 +182,15 @@ def weight_blocks(
 ) -> Iterator[tuple[int, np.ndarray]]:
     """The weights of every length-n y as float64 blocks of the product.
 
-    Yields ``(start, block)`` in ascending order: ``block[i, j]`` is
-    omega_x(y) for ``y = (start + i) * 2^(n - n//2) + j``, that is, block rows
-    are the prefix rows ``start, start + 1, ...`` and its columns every
-    suffix.  A block holds about STRING_BLOCK strings (whole prefix rows).
-    Every argument is checked before anything is allocated, and both tables
-    are built when the function is called: any failure comes before a block.
+    ``pattern_blocks`` of the stack of one x: yields ``(start, block)`` in
+    ascending order, where ``block[i, j]`` is omega_x(y) for ``y = (start +
+    i) * 2^(n - n//2) + j``, that is, block rows are the prefix rows
+    ``start, start + 1, ...`` and its columns every suffix.  A block holds
+    about STRING_BLOCK strings (whole prefix rows), or the whole space when
+    that is smaller.  Checks and tables come at the call, as there.
     """
-    check_bits(x)
-    if n < 0:
-        raise ValueError(f"need n >= 0, got n={n}")
-    check_enumerable(n, max_bits)
-    check_float64_exact(n, len(x))
-    masks = np.array([[c == b for c in x] for b in "01"], dtype=np.float64)
-    k = n // 2
-    prefix = _prefix_counts(masks, k)
-    suffix = _suffix_counts(masks, n - k).T
-    rows = max(1, STRING_BLOCK // suffix.shape[1])
-    return (
-        (start, prefix[start : start + rows] @ suffix)
-        for start in range(0, len(prefix), rows)
-    )
+    blocks = pattern_blocks([x], n, max_bits)
+    return ((start, block[0]) for _, start, block in blocks)
 
 
 def all_weights(x: str, n: int, max_bits: int | None = None) -> np.ndarray:
@@ -164,11 +208,16 @@ def all_weights(x: str, n: int, max_bits: int | None = None) -> np.ndarray:
     return weights.reshape(-1)
 
 
+@cache
 def _popcounts(k: int) -> np.ndarray:
-    """h(u) for every u of length k: prepending a 1 adds one to the count."""
+    """h(u) for every u of length k: prepending a 1 adds one to the count.
+
+    Built once per k and shared, so read-only.
+    """
     h = np.zeros(1, dtype=np.int64)
     for _ in range(k):
         h = np.concatenate([h, h + 1])
+    h.flags.writeable = False
     return h
 
 
@@ -177,11 +226,18 @@ def hamming_weight_counts(select: np.ndarray, start: int, n: int) -> np.ndarray:
 
     ``select`` is shaped like a block of ``weight_blocks``: its row i holds
     the y of prefix row ``start + i``, one column per suffix, so the Hamming
-    weight of an entry is that of its prefix plus that of its suffix.
+    weight of an entry is that of its prefix plus that of its suffix.  One
+    product with the one-hot matrix of the suffix weights counts each row's
+    selected entries per suffix weight j; one weighted ``bincount`` at the
+    row's prefix weight plus j adds them up.  Every partial sum is a count of
+    block entries, an integer far below 2^53, so the float64 sums are exact.
     """
     k = n // 2
-    ham = _popcounts(k)[start : start + len(select), None] + _popcounts(n - k)
-    return np.bincount(ham[select], minlength=n + 1)
+    suffix = _popcounts(n - k)
+    per_row = select.astype(np.float64) @ (suffix[:, None] == np.arange(n - k + 1))
+    at = _popcounts(k)[start : start + len(select), None] + np.arange(n - k + 1)
+    counts = np.bincount(at.ravel(), per_row.ravel(), minlength=n + 1)
+    return counts.astype(np.int64)
 
 
 def canonical_ends_last(x: str, present: np.ndarray) -> np.ndarray:

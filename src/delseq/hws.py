@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import _check_nm, binomial, check_bits, complement
 from .exhaustive import check_enumerable
-from .superspace import SHANNON, weight_classes
+from .superspace import SHANNON, pattern_weight_classes
 
 
 @lru_cache(maxsize=64)
@@ -116,9 +116,11 @@ def pattern_sweep(
     from one weight histogram at length n per orbit of x under reverse and
     complement: omega_x(y) = omega_{rev x}(rev y) = omega_{comp x}(comp y),
     so the four strings of an orbit have the same histogram, and only the
-    least of them is enumerated.  Without n nothing is enumerated and the
-    rows are (x, kappa^2(x)).  The 2^m patterns are held to the enumeration
-    cap before any work starts.
+    least of them is enumerated.  The least strings of every orbit go
+    through one ``pattern_weight_classes`` call, so at small n one product
+    and one ``bincount`` cover a whole stack of them.  Without n nothing is
+    enumerated and the rows are (x, kappa^2(x)).  The 2^m patterns are held
+    to the enumeration cap before any work starts.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -126,21 +128,25 @@ def pattern_sweep(
         raise ValueError(f"need 1 <= m <= n, got n={n} m={m}")
     check_enumerable(m, max_bits)
     rows = []
-    entropies: dict[str, tuple[float, ...]] = {}  # per orbit's least string
     for lo in range(0, 1 << m, SWEEP_BLOCK):
         kappas = kappa_squared_block(m, lo, min(lo + SWEEP_BLOCK, 1 << m))
-        for i, kappa in enumerate(kappas, start=lo):
-            x = format(i, f"0{m}b")
-            row = (x, kappa)
-            if n is not None:
-                comp = complement(x)
-                least = min(x, x[::-1], comp, comp[::-1])
-                if least not in entropies:
-                    wc = weight_classes(least, n, max_bits=max_bits)
-                    entropies[least] = tuple(wc.entropy(ms) for ms in measures)
-                row += entropies[least]
-            rows.append(row)
-    return rows
+        rows += [(format(i, f"0{m}b"), kappa) for i, kappa in enumerate(kappas, lo)]
+    if n is None:
+        return rows
+    least = [_orbit_least(x) for x, _ in rows]
+    orbits = list(dict.fromkeys(least))
+    histograms = pattern_weight_classes(orbits, n, max_bits=max_bits)
+    entropies = {
+        x: tuple(wc.entropy(ms) for ms in measures)
+        for x, wc in zip(orbits, histograms)
+    }
+    return [row + entropies[x] for row, x in zip(rows, least)]
+
+
+def _orbit_least(x: str) -> str:
+    """The least of x, its reverse, its complement and its reverse complement."""
+    comp = complement(x)
+    return min(x, x[::-1], comp, comp[::-1])
 
 
 def sorted_by_kappa(rows: list[tuple]) -> list[tuple]:

@@ -10,12 +10,13 @@ CLI's posterior dump, renders the engine's blocks as they come.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import _check_nm, binomial, check_bits
-from .exhaustive import weight_blocks
+from .exhaustive import pattern_blocks, patterns_per_block
 
 
 def uncertainty_cardinality(n: int, m: int) -> int:
@@ -143,38 +144,98 @@ def weight_classes(
 ) -> WeightClasses:
     """The weight histogram of x over all length-n strings, from the engine.
 
-    Each block of the engine is reduced on its own to (weight, count) pairs
-    and the pairs are merged exactly in int64, so no array of 2^n weights is
-    ever held.  Strings x does not embed in are outside the set and dropped
-    first.  A block whose positive weights span a range no wider than the
-    block itself is counted by ``bincount`` from its least weight; a wider
-    block (x = 0^12 at n = 24 spans up to 41 times its block) is sorted
-    instead, so the count table never outgrows the block.
+    ``pattern_weight_classes`` of the stack of one x.
     """
-    check_bits(x)
-    _check_nm(n, len(x))
-    values, counts = [], []
-    for _, block in weight_blocks(x, n, max_bits=max_bits):
-        w = block[block > 0].astype(np.int64)
-        if not len(w):
-            continue
-        lo = w.min()
-        if w.max() - lo <= block.size:
-            present = np.bincount(w - lo)
-            (v,) = np.nonzero(present)
-            values.append(v + lo)
-            counts.append(present[v])
-        else:
-            v, c = np.unique(w, return_counts=True)
-            values.append(v)
-            counts.append(c)
-    merged, inverse = np.unique(np.concatenate(values), return_inverse=True)
-    totals = np.zeros(len(merged), dtype=np.int64)
-    np.add.at(totals, inverse, np.concatenate(counts))
+    (classes,) = pattern_weight_classes([x], n, max_bits)
+    return classes
+
+
+def pattern_weight_classes(
+    xs: list[str], n: int, max_bits: int | None = None
+) -> Iterator[WeightClasses]:
+    """The weight histogram of each of xs (one length m) over length n, in order.
+
+    Each block of the engine is reduced on its own to (weight, count) pairs
+    per pattern, and a pattern's pairs from several blocks are merged
+    exactly in int64, so no array of 2^n weights is ever held.  Strings x
+    does not embed in (weight 0) are outside the set and dropped.
+
+    - While 2^n < STRING_BLOCK a block stacks the whole spaces of several
+      patterns, and one ``bincount`` counts it all, pattern j's weights
+      offset by j (C(n, m) + 1).  As C(n, m) < 2^n for n >= 1, that count
+      table is no larger than the block.
+    - From 2^n = STRING_BLOCK on, a block is rows of one pattern.  When its
+      positive weights span a range no wider than the block, ``bincount``
+      counts them from their least; a wider block (x = 0^12 at n = 24 spans
+      up to 41 times its block) is sorted instead, so the count table never
+      outgrows the block.
+
+    Every argument is checked when the function is called.
+    """
+    xs = list(xs)
+    for x in xs:
+        check_bits(x)
+        _check_nm(n, len(x))
+    blocks = pattern_blocks(xs, n, max_bits)
+    return _histograms(blocks, len(xs[0]), n)
+
+
+def _histograms(blocks, m: int, n: int) -> Iterator[WeightClasses]:
+    """The ``WeightClasses`` of each pattern of ``blocks``, as its last block ends."""
+    top = binomial(n, m)
+    stacked = patterns_per_block(n) > 1
+    pattern, parts = 0, []
+    for first, _, block in blocks:
+        for j, part in enumerate(_block_counts(block, top, stacked), start=first):
+            if j != pattern:
+                yield _merged(m, n, parts)
+                pattern, parts = j, []
+            parts.append(part)
+    yield _merged(m, n, parts)
+
+
+def _block_counts(
+    block: np.ndarray, top: int, stacked: bool
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(weights, counts) of each pattern of an engine block, ascending, weight > 0.
+
+    ``top`` = C(n, m) bounds every weight; ``stacked`` says the block holds
+    whole spaces, one per pattern.
+    """
+    if stacked:
+        stack = len(block)
+        w = block.reshape(stack, -1).astype(np.int64)
+        w += np.arange(0, stack * (top + 1), top + 1)[:, None]
+        table = np.bincount(w.ravel(), minlength=stack * (top + 1))
+        table = table.reshape(stack, top + 1)[:, 1:]
+        pattern, weight = np.nonzero(table)
+        ends = np.searchsorted(pattern, np.arange(1, stack))
+        counts = table[pattern, weight]
+        return list(zip(np.split(weight + 1, ends), np.split(counts, ends)))
+    w = block[block > 0].astype(np.int64)
+    if not len(w):
+        return [(w, w)]
+    lo = w.min()
+    if w.max() - lo <= block.size:
+        present = np.bincount(w - lo)
+        (v,) = np.nonzero(present)
+        return [(v + lo, present[v])]
+    return [np.unique(w, return_counts=True)]
+
+
+def _merged(m: int, n: int, parts: list) -> WeightClasses:
+    """The ``WeightClasses`` of one pattern's (weights, counts) parts."""
+    if len(parts) == 1:
+        ((values, totals),) = parts
+    else:
+        weights, counts = zip(*parts)
+        values, inverse = np.unique(np.concatenate(weights), return_inverse=True)
+        totals = np.zeros(len(values), dtype=np.int64)
+        np.add.at(totals, inverse, np.concatenate(counts))
     return WeightClasses(
-        m=len(x),
-        deletions=n - len(x),
-        classes=tuple(zip(merged[::-1].tolist(), totals[::-1].tolist())),
+        m=m,
+        deletions=n - m,
+        classes=tuple(zip(values[::-1].tolist(), totals[::-1].tolist())),
     )
 
 

@@ -38,7 +38,12 @@ from .entropy import (
     min_shannon_closed,
     single_deletion_classes,
 )
-from .exhaustive import all_weights, canonical_ends_last, hamming_weight_counts
+from .exhaustive import (
+    all_weights,
+    canonical_ends_last,
+    hamming_weight_counts,
+    pattern_blocks,
+)
 from .superspace import MIN_ENTROPY, renyi
 
 
@@ -223,59 +228,65 @@ def _weight_vector_suites(max_n: int) -> tuple[SuiteResult, SuiteResult]:
     """posterior-laws and cluster-census in one pass over every (x, n <= 12).
 
     Both suites read the same weight vector, so it is computed once per
-    (x, n); each suite's checks run in their own order, and each caller gets
-    its own copy of the result.
+    (x, n), taken from the engine's blocks of all x of one length at once;
+    each suite's checks run in their own order, and each caller gets its own
+    copy of the result.
     """
     laws = SuiteResult("posterior-laws")
     census = SuiteResult("cluster-census")
     for n in range(1, min(max_n, 12) + 1):
-        # the whole space as one block of the engine: one row per prefix
-        rows = 1 << (n // 2)
+        # 2^n < STRING_BLOCK: each engine block stacks whole spaces, one per x
         for m in range(1, n + 1):
             card = superspace.uncertainty_cardinality(n, m)
             mu = superspace.total_masks(n, m)
-            for x in _strings(m):
-                w = all_weights(x, n)
-                support = int(np.count_nonzero(w))
-                laws.check(support == card, f"|Y| wrong for x={x!r} n={n}")
-                laws.check(int(w.sum()) == mu, f"mask total wrong for x={x!r} n={n}")
-                maximal = canonical_ends_last(x, w > 0)
-                hx = x.count("1")
-                census.check(
-                    sum(
-                        clustering.cluster_size_closed(n, m, hx, c)
-                        for c in range(n - m + 1)
-                    )
-                    == card,
-                    f"cluster sizes do not sum to |Y| x={x!r} n={n}",
-                )
-                in_support = hamming_weight_counts((w > 0).reshape(rows, -1), 0, n)
-                in_maximal = hamming_weight_counts(maximal.reshape(rows, -1), 0, n)
-                total_max = 0
-                for c in range(n - m + 1):
-                    brute = int(in_support[hx + c])
-                    closed = clustering.cluster_size_closed(n, m, hx, c)
-                    rec = clustering.cluster_size_recurrence(n, x, c)
+            xs = _strings(m)
+            for first, _, block in pattern_blocks(xs, n):
+                weights = block.astype(np.int64)
+                support = np.count_nonzero(weights, axis=(1, 2)).tolist()
+                totals = weights.sum(axis=(1, 2)).tolist()
+                singles = np.count_nonzero(weights == 1, axis=(1, 2)).tolist()
+                for j, x in enumerate(xs[first : first + len(block)]):
+                    present = weights[j] > 0  # one row per prefix
+                    laws.check(support[j] == card, f"|Y| wrong for x={x!r} n={n}")
+                    laws.check(totals[j] == mu, f"mask total wrong for x={x!r} n={n}")
+                    maximal = canonical_ends_last(x, present.ravel())
+                    hx = x.count("1")
                     census.check(
-                        brute == closed == rec,
-                        f"cluster size mismatch x={x!r} n={n} c={c}",
+                        sum(
+                            clustering.cluster_size_closed(n, m, hx, c)
+                            for c in range(n - m + 1)
+                        )
+                        == card,
+                        f"cluster sizes do not sum to |Y| x={x!r} n={n}",
                     )
-                    brute_max = int(in_maximal[hx + c])
+                    in_support = hamming_weight_counts(present, 0, n)
+                    in_maximal = hamming_weight_counts(
+                        maximal.reshape(present.shape), 0, n
+                    )
+                    total_max = 0
+                    for c in range(n - m + 1):
+                        brute = int(in_support[hx + c])
+                        closed = clustering.cluster_size_closed(n, m, hx, c)
+                        rec = clustering.cluster_size_recurrence(n, x, c)
+                        census.check(
+                            brute == closed == rec,
+                            f"cluster size mismatch x={x!r} n={n} c={c}",
+                        )
+                        brute_max = int(in_maximal[hx + c])
+                        census.check(
+                            brute_max
+                            == clustering.maximal_initials_cluster(n, m, hx, c),
+                            f"maximal initials mismatch x={x!r} n={n} c={c}",
+                        )
+                        total_max += brute_max
                     census.check(
-                        brute_max
-                        == clustering.maximal_initials_cluster(n, m, hx, c),
-                        f"maximal initials mismatch x={x!r} n={n} c={c}",
+                        total_max == clustering.maximal_initials_total(n, m),
+                        f"maximal initials total wrong x={x!r} n={n}",
                     )
-                    total_max += brute_max
-                census.check(
-                    total_max == clustering.maximal_initials_total(n, m),
-                    f"maximal initials total wrong x={x!r} n={n}",
-                )
-                census.check(
-                    clustering.count_singletons(n, x)
-                    == int(np.count_nonzero(w == 1)),
-                    f"singleton count wrong x={x!r} n={n}",
-                )
+                    census.check(
+                        clustering.count_singletons(n, x) == singles[j],
+                        f"singleton count wrong x={x!r} n={n}",
+                    )
             const = superspace.weight_classes("0" * m, n).classes
             expected = tuple(
                 sorted(

@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from delseq.exhaustive import (
     canonical_ends_last,
     check_float64_exact,
     hamming_weight_counts,
+    pattern_blocks,
     resolve_max_bits,
     weight_blocks,
 )
@@ -131,6 +133,55 @@ def test_hamming_weight_counts_match_per_weight_scan():
         assert counts.tolist() == [
             int(np.count_nonzero(select & (ham == h))) for h in range(n + 1)
         ]
+
+
+@pytest.mark.parametrize("n", [18, 19, 20])
+def test_hamming_weight_counts_beyond_one_block(n):
+    # 2^(n - 16) blocks of whole prefix rows: a sparse random selection
+    # against y.count("1"), and the whole space, where every block's counts
+    # reach their largest
+    rng = np.random.default_rng(n)
+    chosen = rng.choice(1 << n, 4000, replace=False)
+    select = np.zeros(1 << n, dtype=bool)
+    select[chosen] = True
+    expected = Counter(format(y, f"0{n}b").count("1") for y in chosen.tolist())
+    for rows, want in (
+        (select.reshape(1 << (n // 2), -1), [expected[h] for h in range(n + 1)]),
+        (np.ones((1 << (n // 2), 1 << (n - n // 2)), dtype=bool),
+         [binomial(n, h) for h in range(n + 1)]),
+    ):
+        counts = sum(
+            hamming_weight_counts(rows[start : start + len(block)], start, n)
+            for start, block in weight_blocks("1", n, max_bits=n)
+        )
+        assert counts.dtype == np.int64
+        assert counts.tolist() == want
+
+
+@pytest.mark.parametrize("m,n", [(3, 3), (3, 5), (6, 12), (7, 15), (5, 16), (4, 17)])
+def test_pattern_blocks_stack_whole_spaces(m, n):
+    # below STRING_BLOCK strings each block stacks the whole spaces of the
+    # next STRING_BLOCK >> n patterns; from there on it is rows of one pattern
+    xs = all_strings(m)
+    stack = max(1, STRING_BLOCK >> n)
+    columns = 1 << (n - n // 2)
+    seen = {x: np.zeros(0) for x in xs}
+    for first, start, block in pattern_blocks(xs, n):
+        assert block.size <= STRING_BLOCK
+        assert len(block) == (min(stack, len(xs) - first) if stack > 1 else 1)
+        assert first % stack == 0
+        for j, rows in enumerate(block):
+            x = xs[first + j]
+            assert len(seen[x]) == start * columns
+            seen[x] = np.concatenate([seen[x], rows.ravel()])
+    for x in xs:
+        assert np.array_equal(seen[x], all_weights(x, n)), x
+
+
+def test_pattern_blocks_need_patterns_of_one_length():
+    for xs in (["01", "011"], []):
+        with pytest.raises(ValueError):
+            pattern_blocks(xs, 5)
 
 
 def test_canonical_ends_last_matches_canonical():

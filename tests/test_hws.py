@@ -229,12 +229,13 @@ def test_pattern_sweep_one_histogram_per_orbit(monkeypatch):
 
     measures = (SHANNON, renyi(2.0), renyi(0.5), MIN_ENTROPY, HARTLEY)
     built = []
+    stacked = hws.pattern_weight_classes
 
-    def counting(x, n, max_bits=None):
-        built.append(x)
-        return weight_classes(x, n, max_bits=max_bits)
+    def counting(xs, n, max_bits=None):
+        built.extend(xs)
+        return stacked(xs, n, max_bits=max_bits)
 
-    monkeypatch.setattr(hws, "weight_classes", counting)
+    monkeypatch.setattr(hws, "pattern_weight_classes", counting)
     assert burnside(10) == 272
     for m in range(1, 11):
         for n in (m + 1, m + 3) if m <= 8 else (m + 1,):

@@ -19,8 +19,10 @@ from delseq import (
     uncertainty_cardinality,
     weight_classes,
 )
+from delseq import exhaustive
 from delseq.cli import main
 from delseq.exhaustive import all_weights
+from delseq.superspace import pattern_weight_classes
 from delseq.verify import _strings as all_strings
 
 
@@ -164,6 +166,20 @@ def test_weight_classes_match_whole_space_sort(monkeypatch, x, n, branches):
     monkeypatch.undo()
     assert classes == tuple(zip(values[::-1].tolist(), counts[::-1].tolist()))
     assert ran == branches
+
+
+def test_stacked_classes_match_one_pattern_at_a_time(monkeypatch):
+    # stacks of 2, 3 or 7 whole spaces per block: stacks split mid-sweep and
+    # the last one is short; the reference reduces one prefix row at a time
+    for m in range(1, 9):
+        xs = all_strings(m)
+        for n in (m, m + 1, m + 3):
+            monkeypatch.setattr(exhaustive, "STRING_BLOCK", 1)
+            expected = [weight_classes(x, n) for x in xs]
+            for stack in (2, 3, 7):
+                monkeypatch.setattr(exhaustive, "STRING_BLOCK", stack << n)
+                got = list(pattern_weight_classes(xs, n))
+                assert got == expected, (m, n, stack)
 
 
 def test_weight_classes_guards_match_posterior(capsys):
