@@ -4,8 +4,10 @@ For a received string x of length m, the uncertainty set contains every
 length-n string y that can project onto x; the posterior over it weights
 each y by its embedding count omega_x(y), normalized by
 mu = C(n,m) * 2^(n-m).  Every entropy is a function of the histogram of
-those weights (``WeightClasses``).  The one result with a row per y, the
-CLI's posterior dump, renders the engine's blocks as they come.
+those weights (``WeightClasses``); ``pattern_weight_classes`` reduces the
+engine's blocks to the histograms of a whole list of patterns of one length,
+and ``weight_classes`` is its list of one.  The one result with a row per y,
+the CLI's posterior dump, renders the engine's blocks as they come.
 """
 from __future__ import annotations
 
