@@ -20,10 +20,26 @@ themselves, with their group sizes, remain available from
 ``embedding_counts_by_block_map``: that per-map decomposition is the path
 sum's oracle and is checked against ``block_map_of_mask``.
 
-Both run-based routes read the run lengths of x and y as plain lists from
-``core.run_lengths``, one C-level scan per string, aligned by
-``_align_runs``; only the per-map oracle wraps them in ``Rle`` objects, for
-``block_maps``.
+``count_embeddings_dp`` runs the DP on all of x at once: lane i of one
+Python int holds W(i, j), the count of x[:i] in y[:j], and each symbol of y
+updates every lane with one shift, one mask and one add.  A lane is
+64·(|y| // 64 + 1) bits wide, more than the |y| bits that W(i, j) <= C(j, i)
+can fill, so no lane carries into the next.
+
+Both counters do their x-side work once per distinct x, in bounded
+``lru_cache``s keyed by x, since a batch of counts often repeats its pattern:
+the DP caches x's two lane masks at 64-bit lanes (the width of every
+|y| < 64; wider masks are built at the call, so no entry grows with |y|),
+and the run counter caches x's run lengths and number of ones.  Each cache
+entry is made by a function that runs ``check_bits`` on x, so an invalid x
+is refused on every call and a cached x was checked once.  The two counters
+share nothing else.
+
+The run counter exits with 0 before reading y's runs when x has more ones
+or more zeros than y, and after aligning them when x has more runs than y
+has left.  Both run-based routes take y's run lengths as a plain list from
+``core.run_lengths``, one C-level scan, aligned by ``_align_runs``; only the
+per-map oracle wraps them in ``Rle`` objects, for ``block_maps``.
 """
 from __future__ import annotations
 
@@ -68,33 +84,50 @@ def enumerate_masks(x: str, y: str) -> list[Mask]:
     return out
 
 
-@lru_cache(maxsize=4096)
-def _descending_positions(x: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The positions i with x_i = '0', then those with x_i = '1', each descending.
+LANE = 64  # bits per lane of the cached DP masks
 
-    Descending so that each update of ``count_embeddings_dp`` reads
-    W(i-1, j-1) before symbol y_j changes it.  Cached by x, because a batch
-    of counts often repeats its pattern.
+
+def _lane_masks(x: str, width: int) -> tuple[int, int]:
+    """The DP's two lane masks of x: lanes i = 1..m all ones where x_i = '0', resp. '1'.
+
+    Lane i is bits i*width .. (i+1)*width - 1; lane 0, which holds W(0, j) = 1,
+    is set in neither.  Checks x, so every mask comes from a valid pattern.
     """
-    m = len(x)
-    zeros = tuple([i for i in range(m, 0, -1) if x[i - 1] == "0"])
-    ones = tuple([i for i in range(m, 0, -1) if x[i - 1] == "1"])
-    return zeros, ones
+    check_bits(x)
+    lane = width // 8
+    zero, full = bytes(lane), b"\xff" * lane
+    return tuple(
+        int.from_bytes(zero + b"".join(full if c == b else zero for c in x), "little")
+        for b in "01"
+    )
+
+
+@lru_cache(maxsize=4096)
+def _narrow_masks(x: str) -> tuple[int, int]:
+    """``_lane_masks`` at LANE bits, the width of every |y| < LANE, cached by x."""
+    return _lane_masks(x, LANE)
 
 
 def count_embeddings_dp(x: str, y: str) -> int:
-    """omega_x(y) via the recurrence W(i,j) = W(i,j-1) + [x_i = y_j] W(i-1,j-1)."""
-    check_bits(x)
+    """omega_x(y) via the recurrence W(i,j) = W(i,j-1) + [x_i = y_j] W(i-1,j-1).
+
+    Lane i of the int w holds W(i, j), and symbol y_j updates every lane at
+    once: ``w << width`` moves W(i-1, j-1) into lane i, and the mask of y_j
+    keeps it where x_i = y_j.  W(i, j) <= C(j, i) <= 2^|y| < 2^width, so no
+    lane carries into the next.  The m > n exit comes before the masks, so a
+    cached entry holds at most 64 lanes of 64 bits.
+    """
     check_bits(y)
-    m = len(x)
-    if m > len(y):
+    m, n = len(x), len(y)
+    if m > n:
+        check_bits(x)
         return 0
-    zeros, ones = _descending_positions(x)
-    w = [1] + [0] * m
+    width = LANE * (n // LANE + 1)
+    zeros, ones = _narrow_masks(x) if width == LANE else _lane_masks(x, width)
+    w = 1
     for c in y:
-        for i in ones if c == "1" else zeros:
-            w[i] += w[i - 1]
-    return w[m]
+        w += (w << width) & (ones if c == "1" else zeros)
+    return w >> (m * width)
 
 
 def block_maps(x_rle: Rle, y_rle: Rle) -> list[BlockMap]:
@@ -136,11 +169,18 @@ def sigma(lp: int, l: int) -> int:
     return binomial(lp + u, u)
 
 
-def _align_runs(x: str, y: str) -> tuple[list[int], list[int]] | None:
-    """Run lengths of non-empty x and of y, y's first run stripped on a symbol mismatch.
+@lru_cache(maxsize=4096)
+def _x_runs(x: str) -> tuple[tuple[int, ...], int]:
+    """The run lengths of x and its number of ones, after ``check_bits``, cached by x."""
+    check_bits(x)
+    return tuple(run_lengths(x)), x.count("1")
+
+
+def _align_runs(x: str, y: str) -> list[int] | None:
+    """The run lengths of y that can host non-empty x: y's first run stripped on a symbol mismatch.
 
     None when what is left of y is shorter than x.  Both strings must already
-    have passed ``check_bits``.
+    have passed ``check_bits``; x's own run lengths come from ``_x_runs``.
     """
     if len(x) > len(y):
         return None
@@ -148,8 +188,8 @@ def _align_runs(x: str, y: str) -> tuple[list[int], list[int]] | None:
     if x[0] != y[0]:
         if len(x) > len(y) - ky[0]:
             return None
-        ky = ky[1:]
-    return run_lengths(x), ky
+        del ky[0]
+    return ky
 
 
 def _run_factor(s: int, need: int, last: int) -> int:
@@ -190,12 +230,12 @@ def embedding_counts_by_block_map(x: str, y: str) -> list[tuple[BlockMap, int]]:
     check_bits(y)
     if not x:
         return [((), 1)]
-    aligned = _align_runs(x, y)
-    if aligned is None:
+    ky = _align_runs(x, y)
+    if ky is None:
         return []
-    kx, ky = aligned
+    kx = _x_runs(x)[0]
     first = int(x[0])
-    rx, ry = Rle(first, tuple(kx)), Rle(first, tuple(ky))
+    rx, ry = Rle(first, kx), Rle(first, tuple(ky))
     return [(f, _block_map_count(f, kx, ky)) for f in block_maps(rx, ry)]
 
 
@@ -208,16 +248,24 @@ def count_embeddings_runs(x: str, y: str) -> int:
     last run that leaves room for the remaining runs of x; the merged run
     grows by one same-symbol run of y at each step.  Zero factors are
     skipped, and an empty row means no block map has a non-zero group.
+
+    Two exits come first: x needs no more ones and no more zeros than y
+    has, and, as f is strictly increasing, no more runs than y has left
+    after alignment.
     """
-    check_bits(x)
     check_bits(y)
+    kx, ones = _x_runs(x)
     if not x:
         return 1
-    aligned = _align_runs(x, y)
-    if aligned is None:
+    y_ones = y.count("1")
+    if ones > y_ones or len(x) - ones > len(y) - y_ones:
         return 0
-    kx, ky = aligned
+    ky = _align_runs(x, y)
+    if ky is None:
+        return 0
     lp, l = len(kx), len(ky)
+    if lp > l:
+        return 0
     paths = {0: 1}
     for i, need in enumerate(kx, start=1):
         top = l - (lp - i)

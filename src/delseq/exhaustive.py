@@ -105,19 +105,21 @@ def _prefix_counts(masks: np.ndarray, k: int) -> np.ndarray:
 
 
 def _suffix_counts(masks: np.ndarray, k: int) -> np.ndarray:
-    """S[j, v, i] = omega_{x_j[i:]}(v) for every v of length k, i = 0..m.
+    """S[j, i, v] = omega_{x_j[i:]}(v) for i = 0..m and every v of length k.
 
-    Prepending bit b to v (row b * 2^j + v) adds omega_{x[i+1:]}(v) to
-    column i wherever x[i] = b.
+    Built in the layout the product reads, C-contiguous with v last: prepending
+    bit b to v (column b * 2^j + v) adds omega_{x[i+1:]}(v) to row i wherever
+    x[i] = b.
     """
     stack, _, m = masks.shape
-    s = np.zeros((stack, 1, m + 1))
-    s[:, 0, -1] = 1
+    s = np.zeros((stack, m + 1, 1))
+    s[:, -1, 0] = 1
+    by_position = masks.transpose(0, 2, 1)[:, :, :, None]
     for _ in range(k):
-        q = np.empty((stack, 2, s.shape[1], m + 1))
-        q[:] = s[:, None]
-        q[:, :, :, :-1] += s[:, None, :, 1:] * masks[:, :, None]
-        s = q.reshape(stack, -1, m + 1)
+        q = np.empty((stack, m + 1, 2, s.shape[2]))
+        q[:] = s[:, :, None]
+        q[:, :-1] += s[:, 1:, None] * by_position
+        s = q.reshape(stack, m + 1, -1)
     return s
 
 
@@ -125,10 +127,10 @@ STRING_BLOCK = 1 << 16  # strings per block of the product
 
 
 def _tables(xs: list[str], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The stacked prefix tables of xs and their stacked, transposed suffix tables."""
+    """The stacked prefix and suffix tables of xs, both C-contiguous."""
     masks = np.array([[[c == b for c in x] for b in "01"] for x in xs], np.float64)
     k = n // 2
-    return _prefix_counts(masks, k), _suffix_counts(masks, n - k).transpose(0, 2, 1)
+    return _prefix_counts(masks, k), _suffix_counts(masks, n - k)
 
 
 def patterns_per_block(n: int) -> int:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial
+from operator import itemgetter
 
 import numpy as np
 
@@ -150,8 +151,13 @@ def _orbit_least(x: str) -> str:
 
 
 def sorted_by_kappa(rows: list[tuple]) -> list[tuple]:
-    """Rows (x, kappa^2, ...) by descending autocorrelation, ties by x ascending."""
-    return sorted(rows, key=lambda row: (-row[1], row[0]))
+    """Rows (x, kappa^2, ...) by descending autocorrelation, ties by x ascending.
+
+    The rows must come in ascending x, as ``pattern_sweep`` emits them: the
+    sort is a stable ``reverse=True`` sort on kappa^2 alone, which keeps tied
+    rows in the order they came.
+    """
+    return sorted(rows, key=itemgetter(1), reverse=True)
 
 
 def kappa_entropy_table(

@@ -2,6 +2,7 @@
 
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from delseq import (
     reverse,
     rle_encode,
 )
+from delseq import embeddings
 from delseq.embeddings import sigma
 from delseq.verify import _strings as all_strings
 from delseq.verify import suite_embeddings_partition, suite_embeddings_three_way
@@ -205,3 +207,65 @@ def test_mismatched_symbol_masks_shift():
     assert enumerate_masks(x, y) == [
         tuple(p + k1 for p in mask) for mask in inner
     ]
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129, 200])
+def test_dp_lanes_hold_binomials_at_lane_boundaries(n):
+    """x = 0^m in y = 0^n puts C(j, i) in every lane, up to C(n, n/2) near 2^n."""
+    y = "0" * n
+    assert [count_embeddings_dp("0" * m, y) for m in range(n + 1)] == [
+        comb(n, m) for m in range(n + 1)
+    ]
+    assert count_embeddings_dp("1" * (n // 2), "1" * n) == comb(n, n // 2)
+
+
+def test_dp_matches_runs_on_long_random_pairs():
+    rng = random.Random(1414)
+    for _ in range(200):
+        n = rng.randint(0, 200)
+        m = rng.randint(0, n)
+        x, y = ("".join(_runs_string(rng, k, rng.random() / 4)) for k in (m, n))
+        assert count_embeddings_dp(x, y) == count_embeddings_runs(x, y)
+
+
+@pytest.mark.parametrize(
+    "x, y, count",
+    [
+        ("", "", 1),
+        ("", "01" * 40, 1),
+        ("0", "", 0),
+        ("0" * 65, "0" * 64, 0),
+        ("01" * 70, "01" * 69, 0),
+        ("1" * 64, "1" * 64, 1),
+    ],
+)
+def test_dp_edge_cases(x, y, count):
+    assert count_embeddings_dp(x, y) == count == count_embeddings_runs(x, y)
+
+
+@pytest.mark.parametrize("counter", [count_embeddings_dp, count_embeddings_runs])
+@pytest.mark.parametrize("n", [5, 64, 100])
+def test_counters_refuse_invalid_strings_every_call(counter, n):
+    """The per-x caches keep no invalid x, and y is checked at every call."""
+    good = "01" * (n // 2) + "0" * (n % 2)
+    for x, y in [("012", good), ("0a", good), ("0", "01" * (n // 2) + "2")]:
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                counter(x, y)
+    counter("01", good)  # "01" is now cached as a valid x
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            counter("01", good[:-1] + "x")
+
+
+def test_dp_cache_keeps_only_narrow_lanes():
+    embeddings._narrow_masks.cache_clear()
+    x = "010"
+    # one block map: one 0 from each outer run and one 1 from the middle one
+    assert count_embeddings_dp(x, "0" * 2000 + "1" * 1000 + "0" * 2000) == 2000 * 1000 * 2000
+    assert embeddings._narrow_masks.cache_info().currsize == 0
+    assert count_embeddings_dp(x, "0110" * 4) == count_embeddings_runs(x, "0110" * 4)
+    misses = embeddings._narrow_masks.cache_info().misses
+    widest = max(mask.bit_length() for mask in embeddings._narrow_masks(x))
+    assert embeddings._narrow_masks.cache_info().misses == misses
+    assert widest <= 64 * (len(x) + 1)

@@ -15,6 +15,7 @@ from delseq import (
 )
 from delseq.exhaustive import (
     STRING_BLOCK,
+    _tables,
     all_weights,
     canonical_ends_last,
     check_float64_exact,
@@ -176,6 +177,16 @@ def test_pattern_blocks_stack_whole_spaces(m, n):
             seen[x] = np.concatenate([seen[x], rows.ravel()])
     for x in xs:
         assert np.array_equal(seen[x], all_weights(x, n)), x
+
+
+@pytest.mark.parametrize("m,n", [(0, 4), (3, 5), (5, 12), (7, 17)])
+def test_product_tables_are_c_contiguous(m, n):
+    # the block product reads both tables without a strided copy
+    xs = all_strings(m)[:5]
+    prefix, suffix = _tables(xs, n)
+    assert prefix.flags.c_contiguous and suffix.flags.c_contiguous
+    assert prefix.shape == (len(xs), 1 << (n // 2), m + 1)
+    assert suffix.shape == (len(xs), m + 1, 1 << (n - n // 2))
 
 
 def test_pattern_blocks_need_patterns_of_one_length():

@@ -248,3 +248,18 @@ def test_pattern_sweep_one_histogram_per_orbit(monkeypatch):
             for x, _, *hs in rows:
                 wc = weight_classes(x, n)
                 assert hs == [wc.entropy(ms) for ms in measures], (x, n)
+
+
+def test_sorted_by_kappa_breaks_ties_by_x():
+    # a stable descending sort on kappa^2 alone keeps the sweep's ascending x
+    from delseq import hws
+
+    def by_key(rows):
+        return sorted(rows, key=lambda row: (-row[1], row[0]))
+
+    for m in range(1, 13):
+        rows = hws.pattern_sweep(m)
+        assert hws.sorted_by_kappa(rows) == by_key(rows), m
+    for n, m in [(8, 5), (9, 6)]:
+        table = kappa_entropy_table(n, m)
+        assert table == by_key(hws.pattern_sweep(m, n, (SHANNON,))), (n, m)
