@@ -248,7 +248,8 @@ def test_dp_edge_cases(x, y, count):
 def test_counters_refuse_invalid_strings_every_call(counter, n):
     """The per-x caches keep no invalid x, and y is checked at every call."""
     good = "01" * (n // 2) + "0" * (n % 2)
-    for x, y in [("012", good), ("0a", good), ("0", "01" * (n // 2) + "2")]:
+    bad_x = ["012", "0a", "0" * n + "2"]  # the last is longer than y
+    for x, y in [(x, good) for x in bad_x] + [("0", "01" * (n // 2) + "2")]:
         for _ in range(2):
             with pytest.raises(ValueError):
                 counter(x, y)
