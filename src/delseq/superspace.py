@@ -4,9 +4,10 @@ For a received string x of length m, the uncertainty set contains every
 length-n string y that can project onto x; the posterior over it weights
 each y by its embedding count omega_x(y), normalized by
 mu = C(n,m) * 2^(n-m).  Every entropy is a function of the histogram of
-those weights (``WeightClasses``); ``pattern_weight_classes`` reduces the
-engine's blocks to the histograms of a whole list of patterns of one length,
-and ``weight_classes`` is its list of one.  The one result with a row per y,
+those weights (``WeightClasses``); ``pattern_weight_classes`` counts the
+engine's blocks into one table per stack of patterns, which gives the
+histograms of a whole list of patterns of one length, and
+``weight_classes`` is its list of one.  The one result with a row per y,
 the CLI's posterior dump, renders the engine's blocks as they come.
 """
 from __future__ import annotations
@@ -14,11 +15,13 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
 from .core import _check_nm, binomial, check_bits
-from .exhaustive import pattern_blocks, patterns_per_block
+from .exhaustive import pattern_blocks
 
 
 def uncertainty_cardinality(n: int, m: int) -> int:
@@ -157,20 +160,21 @@ def pattern_weight_classes(
 ) -> Iterator[WeightClasses]:
     """The weight histogram of each of xs (one length m) over length n, in order.
 
-    Each block of the engine is reduced on its own to (weight, count) pairs
-    per pattern, and a pattern's pairs from several blocks are merged
-    exactly in int64, so no array of 2^n weights is ever held.  Strings x
-    does not embed in (weight 0) are outside the set and dropped.
+    The engine's blocks are counted into one int64 table per stack of
+    patterns, C(n, m) + 1 entries a pattern, pattern j's weights offset by
+    j (C(n, m) + 1).  A block's positive weights are counted with one
+    ``bincount`` from their least value and added to the table from there;
+    strings x does not embed in (weight 0) are outside the set and dropped.
+    When the stack's last block is done, one ``nonzero`` of the table gives
+    every pattern's classes.  No array of 2^n weights is ever held.
 
-    - While 2^n < STRING_BLOCK a block stacks the whole spaces of several
-      patterns, and one ``bincount`` counts it all, pattern j's weights
-      offset by j (C(n, m) + 1).  As C(n, m) < 2^n for n >= 1, that count
-      table is no larger than the block.
-    - From 2^n = STRING_BLOCK on, a block is rows of one pattern.  When its
-      positive weights span a range no wider than the block, ``bincount``
-      counts them from their least; a wider block (x = 0^12 at n = 24 spans
-      up to 41 times its block) is sorted instead, so the count table never
-      outgrows the block.
+    - While 2^n < STRING_BLOCK a stack is the whole spaces of the patterns
+      of one block; as C(n, m) < 2^n for n >= 1, its table is no larger
+      than the block.
+    - From 2^n = STRING_BLOCK on, a stack is one pattern, and its table
+      collects all of that pattern's blocks: 8 (C(n, m) + 1) bytes, at most
+      5.6 MB under the default 22-bit cap, 321 MB at (n, m) = (28, 14) and
+      1.24 GB at (30, 15).  One block's count is never larger than the table.
 
     Every argument is checked when the function is called.
     """
@@ -183,62 +187,34 @@ def pattern_weight_classes(
 
 
 def _histograms(blocks, m: int, n: int) -> Iterator[WeightClasses]:
-    """The ``WeightClasses`` of each pattern of ``blocks``, as its last block ends."""
-    top = binomial(n, m)
-    stacked = patterns_per_block(n) > 1
-    pattern, parts = 0, []
-    for first, _, block in blocks:
-        for j, part in enumerate(_block_counts(block, top, stacked), start=first):
-            if j != pattern:
-                yield _merged(m, n, parts)
-                pattern, parts = j, []
-            parts.append(part)
-    yield _merged(m, n, parts)
+    """The ``WeightClasses`` of each pattern of ``blocks``, one stack at a time.
 
-
-def _block_counts(
-    block: np.ndarray, top: int, stacked: bool
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(weights, counts) of each pattern of an engine block, ascending, weight > 0.
-
-    ``top`` = C(n, m) bounds every weight; ``stacked`` says the block holds
-    whole spaces, one per pattern.
+    A stack's blocks share their ``first``; its table holds C(n, m) + 1
+    counts per pattern, entry j (C(n, m) + 1) + w for pattern j's weight w.
     """
-    if stacked:
-        stack = len(block)
-        w = block.reshape(stack, -1).astype(np.int64)
-        w += np.arange(0, stack * (top + 1), top + 1)[:, None]
-        table = np.bincount(w.ravel(), minlength=stack * (top + 1))
-        table = table.reshape(stack, top + 1)[:, 1:]
-        pattern, weight = np.nonzero(table)
-        ends = np.searchsorted(pattern, np.arange(1, stack))
-        counts = table[pattern, weight]
-        return list(zip(np.split(weight + 1, ends), np.split(counts, ends)))
-    w = block[block > 0].astype(np.int64)
-    if not len(w):
-        return [(w, w)]
-    lo = w.min()
-    if w.max() - lo <= block.size:
-        present = np.bincount(w - lo)
-        (v,) = np.nonzero(present)
-        return [(v + lo, present[v])]
-    return [np.unique(w, return_counts=True)]
-
-
-def _merged(m: int, n: int, parts: list) -> WeightClasses:
-    """The ``WeightClasses`` of one pattern's (weights, counts) parts."""
-    if len(parts) == 1:
-        ((values, totals),) = parts
-    else:
-        weights, counts = zip(*parts)
-        values, inverse = np.unique(np.concatenate(weights), return_inverse=True)
-        totals = np.zeros(len(values), dtype=np.int64)
-        np.add.at(totals, inverse, np.concatenate(counts))
-    return WeightClasses(
-        m=m,
-        deletions=n - m,
-        classes=tuple(zip(values[::-1].tolist(), totals[::-1].tolist())),
-    )
+    width = binomial(n, m) + 1
+    for _, stack in groupby(blocks, key=itemgetter(0)):
+        table = None
+        for _, _, block in stack:
+            if table is None:
+                table = np.zeros(len(block) * width, dtype=np.int64)
+            positive = block > 0
+            if len(block) > 1:  # each block is a fresh product, offset in place
+                block += np.arange(0, table.size, width)[:, None, None]
+            w = block[positive].astype(np.int64)
+            if len(w):
+                lo = w.min()
+                counts = np.bincount(w - lo)
+                table[lo : lo + len(counts)] += counts
+        (at,) = np.nonzero(table)
+        pattern, weight = np.divmod(at, width)
+        ends = np.searchsorted(pattern, np.arange(1, table.size // width))
+        for values, mults in zip(np.split(weight, ends), np.split(table[at], ends)):
+            yield WeightClasses(
+                m=m,
+                deletions=n - m,
+                classes=tuple(zip(values[::-1].tolist(), mults[::-1].tolist())),
+            )
 
 
 def count_distinct_subsequences(y: str, m: int) -> int:

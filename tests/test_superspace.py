@@ -1,5 +1,6 @@
 """Uncertainty-set posteriors, weight histograms and distinct-subsequence statistics."""
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -133,39 +134,49 @@ def test_weight_classes_match_embedding_counter():
                 assert weight_classes(x, n).classes == expected, (x, n)
 
 
+def _seeded_cases():
+    rng = np.random.default_rng(16)
+    for n in range(17, 23):
+        m = int(rng.integers(4, 12))
+        yield "".join(rng.choice(["0", "1"], m)), n
+
+
 @pytest.mark.parametrize(
-    "x, n, branches",
+    "x, n",
+    # the first six keep the ids they were first recorded under
     [
-        ("0110101001", 16, {"bincount"}),  # one block
-        ("0110101001", 17, {"bincount"}),
-        ("1001", 18, {"bincount"}),
-        ("11111111", 19, {"bincount", "sort"}),
-        ("0" * 10, 20, {"bincount", "sort"}),  # blocks wider than they are long
-        ("01" * 5, 20, {"bincount"}),
+        pytest.param("0110101001", 16, id="0110101001-16-branches0"),  # one block
+        pytest.param("0110101001", 17, id="0110101001-17-branches1"),
+        pytest.param("1001", 18, id="1001-18-branches2"),
+        pytest.param("11111111", 19, id="11111111-19-branches3"),
+        # a block's weights span more values than it has strings
+        pytest.param("0" * 10, 20, id="0000000000-20-branches4"),
+        pytest.param("01" * 5, 20, id="0101010101-20-branches5"),
+        *_seeded_cases(),
     ],
 )
-def test_weight_classes_match_whole_space_sort(monkeypatch, x, n, branches):
-    """Block by block, each by count or by sort, then merged: the sort of all 2^n."""
+def test_weight_classes_match_whole_space_sort(monkeypatch, x, n):
+    """Block by block into one count table: the sort of all 2^n, at any block size."""
     w = all_weights(x, n)
     values, counts = np.unique(w[w > 0], return_counts=True)
-    ran = set()
-    unique, bincount = np.unique, np.bincount
+    expected = tuple(zip(values[::-1].tolist(), counts[::-1].tolist()))
+    assert weight_classes(x, n).classes == expected
+    # a pattern's table then collects 64 to 2048 blocks
+    monkeypatch.setattr(exhaustive, "STRING_BLOCK", 1 << 10)
+    assert weight_classes(x, n).classes == expected
 
-    def sort(a, **kwargs):
-        if kwargs.get("return_counts"):  # the merge asks for the inverse
-            ran.add("sort")
-        return unique(a, **kwargs)
 
-    def count(a, *args, **kwargs):
-        ran.add("bincount")
-        return bincount(a, *args, **kwargs)
-
-    monkeypatch.setattr(np, "unique", sort)
-    monkeypatch.setattr(np, "bincount", count)
-    classes = weight_classes(x, n).classes
-    monkeypatch.undo()
-    assert classes == tuple(zip(values[::-1].tolist(), counts[::-1].tolist()))
-    assert ran == branches
+def test_weight_classes_memory_is_one_table(monkeypatch):
+    # 2048 blocks of one pattern: the peak is its count table, not their parts
+    monkeypatch.setattr(exhaustive, "STRING_BLOCK", 1 << 10)
+    tracemalloc.start()
+    try:
+        wc = weight_classes("0110101001", 22)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert wc.identities_hold()
+    assert peak < 8 * (binomial(22, 10) + 1) + (2 << 20)
 
 
 def test_stacked_classes_match_one_pattern_at_a_time(monkeypatch):
