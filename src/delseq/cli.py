@@ -42,7 +42,7 @@ from .exhaustive import (
     weight_blocks,
 )
 from .hws import kappa_entropy_table, pattern_sweep, sorted_by_kappa
-from .superspace import parse_measure, total_masks, weight_classes
+from .superspace import WeightClasses, parse_measure, weight_classes
 from .verify import run_all, suite_names
 
 
@@ -248,8 +248,7 @@ class Layout:
 
         ``body`` yields rows already laid out, each followed by ``sep``; they
         come before ``rows`` (any iterable of cell sequences, cells str()-ed
-        once, first iterated once ``body`` is exhausted), which then must
-        not be empty.
+        once), which then must not be empty.
         """
         out.write(self.head)
         empty = True
@@ -275,16 +274,14 @@ def emit(args, schema: str, params: dict, columns: list[str], rows) -> None:
     Layout.of(args.format, schema, params, columns).write(sys.stdout, rows)
 
 
-def posterior_rows(blocks, n: int, mu: int, layout: Layout, total: list):
+def posterior_rows(blocks, n: int, wc: WeightClasses, layout: Layout):
     """Yield the (y, omega, prob) rows of the engine's ``blocks`` laid out.
 
     A row is one fixed-width record: the lead and digits of y's prefix row,
     the digits of its suffix column, and the text after y, which is
-    formatted once per distinct weight and picked by the weight's rank in
-    its block (a ``bincount`` from the least weight, or a sort when the
-    weights span more values than the block has strings).  Rows come in
-    slices of RENDER_BLOCK_ROWS, each followed by ``layout.sep``; then
-    ``total`` gets the total row, whose |Y| counts the rows yielded.  A
+    formatted once for each class of ``wc`` (the blocks' own histogram)
+    and picked by the weight's rank among the classes.  Rows come in
+    slices of RENDER_BLOCK_ROWS, each followed by ``layout.sep``.  A
     slice's records are decoded straight from their buffer as UTF-8 with
     errors ignored: every rendered byte is ASCII and the records' padding
     byte 0xFF never occurs in UTF-8, so the decoder drops exactly the padding.
@@ -297,44 +294,33 @@ def posterior_rows(blocks, n: int, mu: int, layout: Layout, total: list):
     shift = n - k  # y = (start + row) * 2^shift + column
     # the numeral of 2^bits + v less its leading 1 is v in bits digits, even 0
     suffixes = _records([f"{1 << shift | v:b}"[1:].encode() for v in range(2**shift)])
-    tails: dict[int, bytes] = {}
-    streamed = 0
+    values = [w for w, _ in wc.classes]  # heaviest first
+    # Python ints, so w / mu is the same float as for every other caller
+    tails = _records(
+        [f"{to_omega}{w}{to_prob}{w / wc.mu!r}{end}".encode() for w in values]
+    )
+    # rank_of[w] is the rank of weight w; at most C(n, m) + 1 entries
+    rank_of = np.zeros(values[0] + 1, dtype=np.intp)
+    rank_of[values] = np.arange(len(values))
     for start, block in blocks:
         weights = block.ravel()
         (support,) = np.nonzero(weights)
-        if not len(support):
-            continue
-        omega = weights[support].astype(np.int64)
-        lo = omega.min()
-        if omega.max() - lo < len(omega):
-            present = np.bincount(omega - lo) > 0
-            values, rank = np.flatnonzero(present) + lo, np.cumsum(present) - 1
-            rank = rank[omega - lo]
-        else:
-            values, rank = np.unique(omega, return_inverse=True)
-        values = values.tolist()
-        for w in values:
-            if w not in tails:
-                # Python ints, so w / mu is the same float as for every other caller
-                tails[w] = f"{to_omega}{w}{to_prob}{w / mu!r}{end}".encode()
-        table = _records([tails[w] for w in values])
+        rank = rank_of[weights[support].astype(np.intp)]
         prefixes = _records(
             [(lead[0] + mark + f"{1 << k | u:b}"[1:]).encode()
              for u in range(start, start + len(block))]
         )
         fields = [("prefix", prefixes.dtype), ("suffix", suffixes.dtype)]
         records = np.empty(
-            min(len(support), RENDER_BLOCK_ROWS), fields + [("tail", table.dtype)]
+            min(len(support), RENDER_BLOCK_ROWS), fields + [("tail", tails.dtype)]
         )
         for s in range(0, len(support), RENDER_BLOCK_ROWS):
             index = support[s : s + RENDER_BLOCK_ROWS]  # row * 2^shift + column
             text = records[: len(index)]
             text["prefix"] = prefixes[index >> shift]
             text["suffix"] = suffixes[index & ((1 << shift) - 1)]
-            text["tail"] = table[rank[s : s + RENDER_BLOCK_ROWS]]
+            text["tail"] = tails[rank[s : s + RENDER_BLOCK_ROWS]]
             yield utf_8_decode(text.view(np.uint8), "ignore", True)[0]
-        streamed += len(support)
-    total.append(("total", mu, streamed))
 
 
 def _records(texts: list[bytes]) -> np.ndarray:
@@ -368,14 +354,13 @@ def _check_pattern(x: str, n: int) -> None:
 
 def cmd_posterior(args) -> int:
     x, n = args.x, args.n
-    check_bits(x)
-    mu = total_masks(n, len(x))  # refuses m > n
+    wc = weight_classes(x, n, max_bits=args.max_bits)  # checks x, n and the cap
     blocks = weight_blocks(x, n, max_bits=args.max_bits)
     layout = Layout.of(
         args.format, "posterior", {"x": x, "n": n}, ["y", "omega", "prob"]
     )
-    total = []  # the total row, once posterior_rows has yielded the others
-    layout.write(sys.stdout, total, body=posterior_rows(blocks, n, mu, layout, total))
+    total = ("total", wc.mu, wc.string_count())
+    layout.write(sys.stdout, [total], body=posterior_rows(blocks, n, wc, layout))
     return 0
 
 

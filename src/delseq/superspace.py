@@ -8,11 +8,13 @@ those weights (``WeightClasses``); ``pattern_weight_classes`` counts the
 engine's blocks into one table per stack of patterns, which gives the
 histograms of a whole list of patterns of one length, and
 ``weight_classes`` is its list of one.  The one result with a row per y,
-the CLI's posterior dump, renders the engine's blocks as they come.
+the CLI's posterior dump, renders the engine's blocks against the classes
+of ``weight_classes``.
 """
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import groupby
@@ -141,6 +143,13 @@ class WeightClasses:
             )
         alpha = measure.alpha
         power_sum = math.fsum(mult * (w / mu) ** alpha for w, mult in classes)
+        if power_sum < sys.float_info.min:
+            # the sum underflowed to a subnormal or 0.0 and lost its digits: take
+            # the terms relative to the heaviest class, whose term is 1
+            top = max(w for w, _ in classes)
+            relative = math.fsum(mult * (w / top) ** alpha for w, mult in classes)
+            scale = alpha / (1.0 - alpha)  # finite for every finite alpha
+            return scale * math.log2(top / mu) + math.log2(relative) / (1.0 - alpha)
         return math.log2(power_sum) / (1.0 - alpha)
 
 

@@ -312,6 +312,29 @@ def test_verify_passes(verify_runs):
     assert [r[0] for r in rows] == suite_names()
 
 
+@pytest.mark.parametrize("max_n", [1, 2])
+def test_verify_at_smallest_sizes(capsys, max_n):
+    code, out = run_cli(capsys, "verify", "--max-n", str(max_n))
+    assert code == 0
+    _, rows = parse_csv(out)
+    from delseq.verify import suite_names
+
+    assert [r[0] for r in rows] == suite_names()
+    notes = {r[0]: r[4] for r in rows}
+    assert notes["merge-entropy-gap"] == "skipped (needs max-n >= 3)"
+
+
+def test_large_renyi_order_exits_0(capsys):
+    code, out = run_cli(
+        capsys, "entropy-scan", "--n", "8", "--m", "4", "--measures", "renyi:1e308,min"
+    )
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert all(float(r[2]) == pytest.approx(float(r[3]), abs=1e-9) for r in rows)
+    argv = ("gchain", "--x", "0110", "--n", "8", "--measure", "renyi:200")
+    assert run_cli(capsys, *argv)[0] == 0
+
+
 def test_verify_help_lists_suites(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--help"])
@@ -377,8 +400,8 @@ def test_posterior_matches_reference_renderer(capsys, x, n):
 
 @pytest.mark.parametrize("x,n", [("000", 8), ("0110", 9)])
 def test_posterior_in_one_row_blocks(capsys, monkeypatch, x, n):
-    # one prefix row per engine block: every block has its own offset and tail
-    # table, and some span more weights than they hold strings (a sort ranks them)
+    # one prefix row per engine block: every block has its own offset, and
+    # some hold fewer strings than the weights they span
     monkeypatch.setattr(exhaustive, "STRING_BLOCK", 1)
     rows = reference_posterior_rows(x, n)
     for fmt in ("csv", "json"):

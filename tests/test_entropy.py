@@ -94,6 +94,25 @@ def test_measure_ordering(args):
     assert r2 >= hmin - 1e-12
 
 
+@pytest.mark.parametrize("x,n", [("0110", 8), ("0110101001", 20)])
+def test_renyi_of_large_order_is_finite(x, n):
+    # at 0110101001, n = 20 the sum of (w/mu)^alpha is subnormal from alpha = 65
+    # and 0.0 from 69; at 0110, n = 8 it is 0.0 from 200
+    wc = weight_classes(x, n)
+    hmin = wc.entropy(MIN_ENTROPY)
+    orders = (60, 66, 67, 68, 100, 200, 1000)
+    hs = [wc.entropy(renyi(a)) for a in orders]
+    for a, h in zip(orders, hs):
+        # an integer order's power sum is an exact integer
+        power_sum = sum(mult * w**a for w, mult in wc.classes)
+        exact = (math.log2(power_sum) - a * math.log2(wc.mu)) / (1 - a)
+        assert h == pytest.approx(exact, abs=1e-9), a
+    hs.append(wc.entropy(renyi(1e308)))
+    assert all(math.isfinite(h) and h >= hmin - 1e-9 for h in hs)
+    assert all(a > b for a, b in zip(hs, hs[1:]))
+    assert hs[-1] == pytest.approx(hmin, abs=1e-9)
+
+
 def test_entropy_symmetries_exhaustive():
     for n in range(1, 9):
         for m in range(1, n + 1):
