@@ -295,9 +295,10 @@ def posterior_rows(blocks, n: int, wc: WeightClasses, layout: Layout):
     # the numeral of 2^bits + v less its leading 1 is v in bits digits, even 0
     suffixes = _records([f"{1 << shift | v:b}"[1:].encode() for v in range(2**shift)])
     values = [w for w, _ in wc.classes]  # heaviest first
+    mu = wc.mu
     # Python ints, so w / mu is the same float as for every other caller
     tails = _records(
-        [f"{to_omega}{w}{to_prob}{w / wc.mu!r}{end}".encode() for w in values]
+        [f"{to_omega}{w}{to_prob}{w / mu!r}{end}".encode() for w in values]
     )
     # rank_of[w] is the rank of weight w; at most C(n, m) + 1 entries
     rank_of = np.zeros(values[0] + 1, dtype=np.intp)

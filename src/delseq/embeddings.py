@@ -12,11 +12,17 @@ cross-check each other:
   i of x.
 
 Every mask belongs to exactly one block map f, and the group of f has the
-size prod_i factor(f(i-1), f(i), i).  Since each factor depends only on
-(f(i-1), f(i), i), ``count_embeddings_runs`` adds up these products as a
-path sum over the states (i, f(i)), with O(l'·l^2) transitions for l' runs
-of x and l runs of y, instead of listing the C(l' + u, u) maps.  The maps
-themselves, with their group sizes, remain available from
+size prod_i factor(f(i-1), f(i), i), with factor C(s, k'_i) - C(s - k_f(i),
+k'_i) for the s symbols of y's runs f(i-1)+1, f(i-1)+3, ..., f(i).  Since
+each factor depends only on (f(i-1), f(i), i), ``count_embeddings_runs``
+adds up these products as a path sum over the states (i, f(i)), with
+O(l'·l^2) transitions for l' runs of x and l runs of y, instead of listing
+the C(l' + u, u) maps.  As f(i) steps on, s - k_f(i) is the previous step's
+s, so the path sum spells the factor inline as the difference of its last
+two binomials; ``_run_factor`` is the same factor for the per-map oracle.
+For a one-run x the factors over f(1) telescope to C(c, |x|), with c the
+count of x's symbol in y, and the path sum is taken in that closed form.
+The maps themselves, with their group sizes, remain available from
 ``embedding_counts_by_block_map``: that per-map decomposition is the path
 sum's oracle and is checked against ``block_map_of_mask``.
 
@@ -36,10 +42,12 @@ is refused on every call and a cached x was checked once.  The two counters
 share nothing else.
 
 The run counter exits with 0 before reading y's runs when x has more ones
-or more zeros than y, and after aligning them when x has more runs than y
-has left.  Both run-based routes take y's run lengths as a plain list from
-``core.run_lengths``, one C-level scan, aligned by ``_align_runs``; only the
-per-map oracle wraps them in ``Rle`` objects, for ``block_maps``.
+or more zeros than y, returns the closed form for a one-run x without
+reading them, and exits with 0 after aligning them when x has more runs
+than y has left.  Both run-based routes take y's run lengths as a plain
+list from ``core.run_lengths``, one C-level scan, aligned by
+``_align_runs``; only the per-map oracle wraps them in ``Rle`` objects,
+for ``block_maps``.
 """
 from __future__ import annotations
 
@@ -201,7 +209,8 @@ def _run_factor(s: int, need: int, last: int) -> int:
     counts the ways to pick the ``need`` = k'_i symbols of run i there while
     keeping run f(i) non-empty in the mask: C(s, k'_i) - C(s - k_f(i), k'_i).
     Every argument is non-negative, so ``math.comb`` (0 when k'_i > s) is
-    already the convention needed.
+    already the convention needed.  This is the factor of the per-map oracle
+    ``_block_map_count``; ``count_embeddings_runs`` spells it inline.
     """
     return comb(s, need) - comb(s - last, need)
 
@@ -246,12 +255,16 @@ def count_embeddings_runs(x: str, y: str) -> int:
     that end at f(i) = f, of the product of their run factors.  A state
     ``prev`` extends to f(i) = prev+1, prev+3, ... up to l - (l' - i), the
     last run that leaves room for the remaining runs of x; the merged run
-    grows by one same-symbol run of y at each step.  Zero factors are
-    skipped, and an empty row means no block map has a non-zero group.
+    grows by one same-symbol run of y at each step, from s - k_f(i) to s
+    symbols, so the factor C(s, k'_i) - C(s - k_f(i), k'_i) of ``_run_factor``
+    is the last binomial less the one before it.  Zero factors are skipped,
+    and an empty row means no block map has a non-zero group.
 
     Two exits come first: x needs no more ones and no more zeros than y
     has, and, as f is strictly increasing, no more runs than y has left
-    after alignment.
+    after alignment.  A one-run x of k'_1 = |x| symbols needs neither y's
+    runs nor the path sum: its factors over f(1) telescope to C(c, |x|),
+    with c the count of x's symbol in y.
     """
     check_bits(y)
     kx, ones = _x_runs(x)
@@ -260,6 +273,8 @@ def count_embeddings_runs(x: str, y: str) -> int:
     y_ones = y.count("1")
     if ones > y_ones or len(x) - ones > len(y) - y_ones:
         return 0
+    if len(kx) == 1:
+        return comb(y_ones if ones else len(y) - y_ones, len(x))
     ky = _align_runs(x, y)
     if ky is None:
         return 0
@@ -271,10 +286,12 @@ def count_embeddings_runs(x: str, y: str) -> int:
         top = l - (lp - i)
         row: dict[int, int] = {}
         for prev, total in paths.items():
-            s = 0
+            s = low = 0
             for fi in range(prev + 1, top + 1, 2):
                 s += ky[fi - 1]
-                term = _run_factor(s, need, ky[fi - 1])
+                high = comb(s, need)
+                term = high - low  # C(s, k'_i) - C(s - k_f(i), k'_i)
+                low = high
                 if term:
                     row[fi] = row.get(fi, 0) + total * term
         if not row:

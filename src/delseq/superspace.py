@@ -130,17 +130,19 @@ class WeightClasses:
 
         Each class's term is converted to double precision once and the terms
         are accumulated with compensated summation, so the result does not
-        depend on the order of the classes.
+        depend on the order of the classes.  A single class (n = m) makes the
+        negated or divided logs -0.0; adding 0.0 returns 0.0 there and leaves
+        every other float as it is.
         """
         classes, mu = self.classes, self.mu
         if measure.kind == "hartley":
             return math.log2(self.string_count())
         if measure.kind == "min":
-            return -math.log2(max(w for w, _ in classes) / mu)
+            return -math.log2(max(w for w, _ in classes) / mu) + 0.0
         if measure.kind == "shannon":
             return -math.fsum(
                 mult * (w / mu) * math.log2(w / mu) for w, mult in classes
-            )
+            ) + 0.0
         alpha = measure.alpha
         power_sum = math.fsum(mult * (w / mu) ** alpha for w, mult in classes)
         if power_sum < sys.float_info.min:
@@ -150,7 +152,7 @@ class WeightClasses:
             relative = math.fsum(mult * (w / top) ** alpha for w, mult in classes)
             scale = alpha / (1.0 - alpha)  # finite for every finite alpha
             return scale * math.log2(top / mu) + math.log2(relative) / (1.0 - alpha)
-        return math.log2(power_sum) / (1.0 - alpha)
+        return math.log2(power_sum) / (1.0 - alpha) + 0.0
 
 
 def weight_classes(

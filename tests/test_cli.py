@@ -191,9 +191,29 @@ def test_entropy_scan_columns_and_ordering(capsys):
 
 
 def test_entropy_scan_all_zero_at_m_equals_n(capsys):
-    _, out = run_cli(capsys, "entropy-scan", "--n", "3", "--m", "3")
+    _, out = run_cli(
+        capsys, "entropy-scan", "--n", "3", "--m", "3",
+        "--measures", "shannon,renyi2,min,hartley",
+    )
     _, rows = parse_csv(out)
-    assert all(float(r[2]) == 0.0 for r in rows)
+    assert len(rows) == 8
+    # printed as 0.0, not -0.0: the single class has probability 1
+    assert all(r[2:] == ["0.0"] * 4 for r in rows)
+
+
+@pytest.mark.parametrize(
+    "argv, columns",
+    [
+        (("gchain", "--x", "011", "--n", "3"), [2]),
+        (("kappa", "--m", "2", "--n", "2"), [2]),
+        (("estimate", "--x", "0", "--n", "1"), [0, 1]),
+    ],
+)
+def test_entropies_print_zero_at_m_equals_n(capsys, argv, columns):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert rows and all(r[c] == "0.0" for r in rows for c in columns)
 
 
 def test_kappa_sorted_descending(capsys):

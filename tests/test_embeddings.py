@@ -219,6 +219,48 @@ def test_dp_lanes_hold_binomials_at_lane_boundaries(n):
     assert count_embeddings_dp("1" * (n // 2), "1" * n) == comb(n, n // 2)
 
 
+@pytest.mark.parametrize("symbol", "01")
+def test_runs_one_run_x_matches_dp_across_lane_widths(symbol):
+    """x = symbol^k takes the closed form C(count of symbol in y, k); the DP
+    checks it at every |y| up to 70, across its 64-bit lane switch."""
+    rng = random.Random(f"one-run-{symbol}")
+    for n in range(71):
+        ys = {"".join(_runs_string(rng, n, p)) for p in (0.5, 0.1)}
+        for y in ys | {symbol * n}:
+            for k in range(1, n + 2):
+                x = symbol * k
+                assert count_embeddings_runs(x, y) == count_embeddings_dp(x, y), (x, y)
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        ("000", "0101"),  # |x| <= |y|, but y has two zeros
+        ("11111", "110011"),
+        ("1" * 9, "10" * 7 + "1"),
+        ("0", "1111"),
+    ],
+)
+def test_runs_one_run_x_longer_than_its_symbol_count(x, y):
+    assert count_embeddings_runs(x, y) == 0 == count_embeddings_dp(x, y)
+    assert enumerate_masks(x, y) == []
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        ("0101", "0011"),  # enough ones and zeros, four runs against two
+        ("010", "0011"),
+        ("101", "0110"),  # two runs of y left after its first run is stripped
+        ("1010", "1110001"),
+        ("01" * 6, "0" * 6 + "1" * 6 + "0" * 6),
+    ],
+)
+def test_runs_x_with_more_runs_than_y(x, y):
+    assert count_embeddings_runs(x, y) == 0 == count_embeddings_dp(x, y)
+    assert enumerate_masks(x, y) == []
+
+
 def test_dp_matches_runs_on_long_random_pairs():
     rng = random.Random(1414)
     for _ in range(200):
