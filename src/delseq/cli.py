@@ -69,10 +69,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(required=True, metavar="command")
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    formatted = argparse.ArgumentParser(add_help=False)
+    formatted.add_argument(
         "--format", choices=("csv", "json"), default="csv", help="output format"
     )
+    common = argparse.ArgumentParser(add_help=False, parents=[formatted])
     common.add_argument(
         "--max-bits",
         type=int,
@@ -171,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "verify",
-        parents=[common],
+        parents=[formatted],
         help="run the oracle/property suites; nonzero exit on any violation",
         description="Suites: " + ", ".join(suite_names()) + ".",
     )

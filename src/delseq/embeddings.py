@@ -65,24 +65,27 @@ def enumerate_masks(x: str, y: str) -> list[Mask]:
     """All masks of x in y, in lexicographic order.
 
     Returns the single empty mask for empty x and an empty list when x does
-    not embed in y.
+    not embed in y.  Each position is bounded by the right-most mask's, found
+    in one right-to-left pass, so every branch of the search ends in a mask.
     """
     check_bits(x)
     check_bits(y)
-    m, n = len(x), len(y)
-    if m > n:
-        return []
-    if m == 0:
-        return [()]
+    last: list[int] = []
+    end = len(y)
+    for c in reversed(x):
+        end = y.rfind(c, 0, end)
+        if end < 0:
+            return []
+        last.append(end + 1)
+    last.reverse()
     out: list[Mask] = []
     prefix: list[int] = []
 
     def extend(i: int, start: int) -> None:
-        # positions beyond n - (m - i) leave too few characters to finish
-        if i == m:
+        if i == len(x):
             out.append(tuple(prefix))
             return
-        for p in range(start, n - (m - i) + 2):
+        for p in range(start, last[i] + 1):
             if y[p - 1] == x[i]:
                 prefix.append(p)
                 extend(i + 1, p + 1)

@@ -5,8 +5,8 @@ length-n string y that can project onto x; the posterior over it weights
 each y by its embedding count omega_x(y), normalized by
 mu = C(n,m) * 2^(n-m).  Every entropy is a function of the histogram of
 those weights (``WeightClasses``); ``pattern_weight_classes`` counts the
-engine's blocks into one table per stack of patterns, which gives the
-histograms of a whole list of patterns of one length, and
+engine's blocks into one table per stack of patterns, a row per pattern
+indexed by weight, which gives the histograms of a whole list of patterns of one length, and
 ``weight_classes`` is its list of one.  The one result with a row per y,
 the CLI's posterior dump, renders the engine's blocks against the classes
 of ``weight_classes``.
@@ -172,20 +172,20 @@ def pattern_weight_classes(
     """The weight histogram of each of xs (one length m) over length n, in order.
 
     The engine's blocks are counted into one int64 table per stack of
-    patterns, C(n, m) + 1 entries a pattern, pattern j's weights offset by
-    j (C(n, m) + 1).  A block's positive weights are counted with one
-    ``bincount`` from their least value and added to the table from there;
-    strings x does not embed in (weight 0) are outside the set and dropped.
-    When the stack's last block is done, one ``nonzero`` of the table gives
-    every pattern's classes.  No array of 2^n weights is ever held.
+    patterns, a row of C(n, m) + 1 entries per pattern indexed by weight.
+    Each plane of a block holds one pattern's weights and is counted with
+    one ``bincount`` into that pattern's row; column 0 counts the strings x
+    does not embed in, which are outside the set and never reported.  When
+    the stack's last block is done, one ``nonzero`` of each row gives that
+    pattern's classes.  No array of 2^n weights is ever held.
 
     - While 2^n < STRING_BLOCK a stack is the whole spaces of the patterns
       of one block; as C(n, m) < 2^n for n >= 1, its table is no larger
       than the block.
-    - From 2^n = STRING_BLOCK on, a stack is one pattern, and its table
+    - From 2^n = STRING_BLOCK on, a stack is one pattern, and its one row
       collects all of that pattern's blocks: 8 (C(n, m) + 1) bytes, at most
       5.6 MB under the default 22-bit cap, 321 MB at (n, m) = (28, 14) and
-      1.24 GB at (30, 15).  One block's count is never larger than the table.
+      1.24 GB at (30, 15).  One block's count is never longer than its row.
 
     Every argument is checked when the function is called.
     """
@@ -200,31 +200,26 @@ def pattern_weight_classes(
 def _histograms(blocks, m: int, n: int) -> Iterator[WeightClasses]:
     """The ``WeightClasses`` of each pattern of ``blocks``, one stack at a time.
 
-    A stack's blocks share their ``first``; its table holds C(n, m) + 1
-    counts per pattern, entry j (C(n, m) + 1) + w for pattern j's weight w.
+    A stack's blocks share their ``first``; row j of its table counts
+    pattern j's strings by weight, column w for weight w = 0..C(n, m).
     """
     width = binomial(n, m) + 1
     for _, stack in groupby(blocks, key=itemgetter(0)):
         table = None
         for _, _, block in stack:
             if table is None:
-                table = np.zeros(len(block) * width, dtype=np.int64)
-            positive = block > 0
-            if len(block) > 1:  # each block is a fresh product, offset in place
-                block += np.arange(0, table.size, width)[:, None, None]
-            w = block[positive].astype(np.int64)
-            if len(w):
-                lo = w.min()
-                counts = np.bincount(w - lo)
-                table[lo : lo + len(counts)] += counts
-        (at,) = np.nonzero(table)
-        pattern, weight = np.divmod(at, width)
-        ends = np.searchsorted(pattern, np.arange(1, table.size // width))
-        for values, mults in zip(np.split(weight, ends), np.split(table[at], ends)):
+                table = np.zeros((len(block), width), dtype=np.int64)
+            for row, plane in zip(table, block):
+                counts = np.bincount(plane.astype(np.intp).ravel())
+                row[: len(counts)] += counts
+                del counts  # before the next block's: one count at a time
+        for row in table:
+            # column 0 counts the strings x does not embed in: outside the set
+            weights = np.flatnonzero(row[1:])[::-1] + 1
             yield WeightClasses(
                 m=m,
                 deletions=n - m,
-                classes=tuple(zip(values[::-1].tolist(), mults[::-1].tolist())),
+                classes=tuple(zip(weights.tolist(), row[weights].tolist())),
             )
 
 

@@ -367,6 +367,15 @@ def test_verify_help_lists_suites(capsys):
         assert name in flat
 
 
+def test_verify_refuses_max_bits(capsys):
+    # the suites take their cap from DELSEQ_MAX_BITS only; a flag they would
+    # ignore is an unknown option
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--max-n", "4", "--max-bits", "8"])
+    assert exc.value.code == 2
+    assert "--max-bits" in capsys.readouterr().err
+
+
 def reference_table(fmt, schema, params, columns, rows):
     """The output contract, rendered with csv.writer and json.dumps."""
     rows = [[str(cell) for cell in row] for row in rows]

@@ -1,6 +1,8 @@
 """Three independent embedding counters and the block-map partition."""
 
 import random
+import time
+from collections import Counter
 from itertools import combinations
 from math import comb
 
@@ -259,6 +261,33 @@ def test_runs_one_run_x_longer_than_its_symbol_count(x, y):
 def test_runs_x_with_more_runs_than_y(x, y):
     assert count_embeddings_runs(x, y) == 0 == count_embeddings_dp(x, y)
     assert enumerate_masks(x, y) == []
+
+
+def test_enumerate_masks_returns_at_once_when_x_does_not_embed():
+    # one more 1 than y holds: pruning on length alone took about 90 s on it
+    start = time.perf_counter()
+    assert enumerate_masks("1" * 41, "10" * 39 + "1") == []
+    assert time.perf_counter() - start < 1.0
+
+
+def test_enumerate_masks_match_dp_on_seeded_pairs():
+    # x a random subsequence of y (embeds) or random bits (mostly not)
+    rng = random.Random(2718)
+    seen = Counter()
+    for _ in range(600):
+        y = "".join(rng.choice("01") for _ in range(rng.randint(0, 14)))
+        if rng.random() < 0.5:
+            x = "".join(c for c in y if rng.random() < 0.6)
+        else:
+            x = "".join(rng.choice("01") for _ in range(rng.randint(0, len(y) + 2)))
+        masks = enumerate_masks(x, y)
+        assert len(masks) == count_embeddings_dp(x, y), (x, y)
+        assert masks == sorted(set(masks)), (x, y)
+        for mask in masks:
+            assert "".join(y[p - 1] for p in mask) == x
+            assert all(a < b for a, b in zip(mask, mask[1:]))
+        seen[bool(masks)] += 1
+    assert seen[True] > 100 and seen[False] > 100
 
 
 def test_dp_matches_runs_on_long_random_pairs():

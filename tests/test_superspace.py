@@ -179,6 +179,20 @@ def test_weight_classes_memory_is_one_table(monkeypatch):
     assert peak < 8 * (binomial(22, 10) + 1) + (2 << 20)
 
 
+def test_wide_block_memory_is_two_rows(monkeypatch):
+    # a constant x spreads one block's weights over most of its row: the peak
+    # is the row and one block's count, which is never longer than the row
+    monkeypatch.setattr(exhaustive, "STRING_BLOCK", 1 << 10)
+    tracemalloc.start()
+    try:
+        wc = weight_classes("0" * 10, 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert wc.identities_hold()
+    assert peak < 2 * 8 * (binomial(20, 10) + 1) + (1 << 20)
+
+
 def test_stacked_classes_match_one_pattern_at_a_time(monkeypatch):
     # stacks of 2, 3 or 7 whole spaces per block: stacks split mid-sweep and
     # the last one is short; the reference reduces one prefix row at a time
