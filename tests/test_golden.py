@@ -11,7 +11,8 @@ n = 17 estimate and n = 16 Renyi chain were recorded while every entropy was
 still computed from a whole-space posterior and the moments summed string by
 string; the m = 10 and m = 11 kappa tables and the 20-run m = 40 census were
 recorded while kappa^2 was still summed pattern by pattern and every run
-length counted in a per-character loop.
+length counted in a per-character loop; the verify digest was recorded while
+the entropy suites still built each x's whole space on its own.
 """
 
 import hashlib
@@ -85,6 +86,8 @@ GOLDEN = [
     (("classes", "--x-rle", "s=1,1,3,2,1,1,2,4,1,2,1,1,3,2,2,1,5,1,2,3,2",
       "--deletions", "2"),
      "83af00f2d585460df805de7bebb757512e88a94b9899effdb83ac93317a02d69"),
+    (("verify", "--max-n", "6"),
+     "f55a78c6463905dc09fa3cadadf1c5680ad1c91f518451423bc85cf62878d170"),
 ]
 
 
