@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import _check_nm, binomial, check_bits
+from .core import _check_nm, binomial, check_bits, run_lengths
 from .embeddings import Mask
 
 
@@ -137,22 +137,18 @@ def rho(x: str) -> RhoProfile:
     """Count the weight-preserving insertion slots of x, per symbol.
 
     A run touching both ends of x contributes its length + 1; a run touching
-    exactly one end its length; an interior run its length - 1.
+    exactly one end its length; an interior run its length - 1.  So every
+    run gives its length - 1, and each end of x one more to its symbol.
     """
     check_bits(x)
     if not x:
         raise ValueError("rho is undefined for the empty string")
-    m = len(x)
+    first = int(x[0])
     slots = [0, 0]
-    start = 0
-    while start < m:
-        end = start
-        while end + 1 < m and x[end + 1] == x[start]:
-            end += 1
-        length = end - start + 1
-        touches = (start == 0) + (end == m - 1)
-        slots[int(x[start])] += length + touches - 1
-        start = end + 1
+    for i, length in enumerate(run_lengths(x)):
+        slots[first ^ (i & 1)] += length - 1
+    slots[first] += 1
+    slots[int(x[-1])] += 1
     return RhoProfile(rho0=slots[0], rho1=slots[1])
 
 

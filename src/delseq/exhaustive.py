@@ -18,10 +18,10 @@ about 2^16 strings.  Below that size one block stacks the whole spaces of
 several patterns, one batched product of their stacked tables, so a pattern
 sweep at small n costs one product per block, not one per pattern; from
 2^16 strings on, a block is whole prefix rows of one pattern.
-``weight_blocks`` is the stack of one x, with 2-D blocks.  ``all_weights``
-is those blocks copied into one int64 array, for the oracles only; every
+``weight_blocks`` is the stack of one x, with 2-D blocks.  Every
 whole-space result the package reports, the posterior dump included, takes
-the blocks one at a time and never holds 2^n weights.
+the blocks one at a time or reduces them to a weight histogram, and never
+holds 2^n weights; only the tests copy the blocks into one 2^n array.
 
 Every table entry, term and partial sum is a nonnegative integer no larger
 than omega_x(y) <= C(n, m), and every such integer is exact in float64 while
@@ -193,21 +193,6 @@ def weight_blocks(
     """
     blocks = pattern_blocks([x], n, max_bits)
     return ((start, block[0]) for _, start, block in blocks)
-
-
-def all_weights(x: str, n: int, max_bits: int | None = None) -> np.ndarray:
-    """omega_x(y) for every y of length n, as an int64 array indexed by y.
-
-    The blocks of ``weight_blocks``, cast exactly to int64 as they are
-    copied in: a one-shot product would first fill a float temporary the
-    size of the output.
-    """
-    blocks = weight_blocks(x, n, max_bits)
-    k = n // 2
-    weights = np.empty((1 << k, 1 << (n - k)), dtype=np.int64)
-    for start, block in blocks:
-        weights[start : start + len(block)] = block
-    return weights.reshape(-1)
 
 
 @cache

@@ -38,12 +38,7 @@ from .entropy import (
     min_shannon_closed,
     single_deletion_classes,
 )
-from .exhaustive import (
-    all_weights,
-    canonical_ends_last,
-    hamming_weight_counts,
-    pattern_blocks,
-)
+from .exhaustive import canonical_ends_last, hamming_weight_counts, pattern_blocks
 from .superspace import MIN_ENTROPY, renyi
 
 
@@ -544,17 +539,31 @@ def suite_kappa_entropy_ordering(max_n: int, rng: random.Random) -> SuiteResult:
     return r
 
 
+def _omega_moments(x: str, n: int) -> tuple[float, float]:
+    """Mean and variance of omega_x(y) over all 2^n strings y of length n.
+
+    The power sums S_k = sum_y omega_x(y)^k are exact ints, sums of mult * w^k
+    over the weight histogram (weight 0 adds nothing): the mean is S_1 / 2^n
+    and the variance (S_2 2^n - S_1^2) / 4^n, each one correctly rounded
+    division.
+    """
+    classes = superspace.weight_classes(x, n).classes
+    s1 = sum(w * mult for w, mult in classes)
+    s2 = sum(w * w * mult for w, mult in classes)
+    return s1 / (1 << n), ((s2 << n) - s1 * s1) / (1 << 2 * n)
+
+
 def suite_hws_moments(max_n: int, rng: random.Random) -> SuiteResult:
     r = SuiteResult("hws-moments")
     n1 = min(max_n, 14)
     for n in range(2, n1 + 1):
-        w = all_weights("0", n).astype(float)
+        mean, var = _omega_moments("0", n)
         r.check(
-            abs(float(w.mean()) - hws.omega_mean_asymptotic(n, 1)) < 1e-9,
+            abs(mean - hws.omega_mean_asymptotic(n, 1)) < 1e-9,
             f"m=1 mean not exact at n={n}",
         )
         r.check(
-            abs(float(w.var()) - hws.omega_variance_asymptotic(n, "0")) < 1e-9,
+            abs(var - hws.omega_variance_asymptotic(n, "0")) < 1e-9,
             f"m=1 variance not exact at n={n}",
         )
     n_lo, n_hi = min(max_n, 12), min(max_n, 20)
@@ -562,9 +571,7 @@ def suite_hws_moments(max_n: int, rng: random.Random) -> SuiteResult:
         x = "010"
         ratios = {}
         for n in (n_lo, n_hi):
-            w = all_weights(x, n).astype(float)
-            exact_mean = float(w.mean())
-            exact_var = float(w.var())
+            exact_mean, exact_var = _omega_moments(x, n)
             ratios[n] = (
                 exact_mean / hws.omega_mean_asymptotic(n, 3),
                 exact_var / hws.omega_variance_asymptotic(n, x),

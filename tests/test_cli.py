@@ -16,7 +16,8 @@ from delseq import cli, exhaustive
 from delseq.cli import RENDER_BLOCK_ROWS, emit, main, parse_rle, format_rle
 from delseq.core import Rle
 from delseq.embeddings import count_embeddings_dp
-from delseq.exhaustive import STRING_BLOCK, all_weights
+from delseq.exhaustive import STRING_BLOCK
+from whole_space import all_weights
 
 
 def run_cli(capsys, *argv):

@@ -32,10 +32,10 @@ from delseq import (
     apply_g,
     Rle,
 )
-from delseq.exhaustive import all_weights
 from delseq.superspace import parse_measure
 from delseq.verify import _strings as all_strings
 from delseq.verify import suite_gchain_deletions
+from whole_space import all_weights
 
 compositions = st.lists(st.integers(1, 5), min_size=1, max_size=6)
 

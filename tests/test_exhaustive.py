@@ -16,7 +16,6 @@ from delseq import (
 from delseq.exhaustive import (
     STRING_BLOCK,
     _tables,
-    all_weights,
     canonical_ends_last,
     check_float64_exact,
     hamming_weight_counts,
@@ -25,6 +24,13 @@ from delseq.exhaustive import (
     weight_blocks,
 )
 from delseq.verify import _strings as all_strings
+from whole_space import all_weights
+
+
+def _strings_in(blocks):
+    """How many strings the blocks of ``weight_blocks`` hold, and their total weight."""
+    sizes, totals = zip(*((block.size, block.sum()) for _, block in blocks))
+    return sum(sizes), sum(totals)
 
 
 def test_all_weights_matches_dp():
@@ -83,17 +89,17 @@ def test_float64_exactness_guard():
             with pytest.raises(
                 EnumerationCapExceeded, match=rf"C\({n},{m}\).*float64.*2\^53"
             ):
-                all_weights("0" * m, n, max_bits=n)
+                weight_blocks("0" * m, n, max_bits=n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
 
 
-def test_all_weights_rejects_negative_length():
+def test_weight_blocks_rejects_negative_length():
     for x in ("0", ""):
         with pytest.raises(ValueError, match="n >= 0"):
-            all_weights(x, -1)
+            weight_blocks(x, -1)
 
 
 def test_weight_blocks_checks_when_called():
@@ -211,16 +217,16 @@ def test_canonical_ends_last_matches_canonical():
 
 def test_cap_enforced():
     with pytest.raises(EnumerationCapExceeded):
-        all_weights("1", 25)
-    assert all_weights("1", 5, max_bits=5).sum() == 5 * 2**4
+        weight_blocks("1", 25)
+    assert _strings_in(weight_blocks("1", 5, max_bits=5)) == (2**5, 5 * 2**4)
 
 
 def test_cap_env_override(monkeypatch):
     monkeypatch.setenv("DELSEQ_MAX_BITS", "3")
     with pytest.raises(EnumerationCapExceeded):
-        all_weights("1", 4)
+        weight_blocks("1", 4)
     monkeypatch.setenv("DELSEQ_MAX_BITS", "4")
-    assert all_weights("1", 4).shape == (16,)
+    assert _strings_in(weight_blocks("1", 4))[0] == 16
     monkeypatch.setenv("DELSEQ_MAX_BITS", "2O")
     with pytest.raises(ValueError, match="DELSEQ_MAX_BITS.*'2O'"):
         resolve_max_bits()

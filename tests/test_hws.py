@@ -22,8 +22,8 @@ from delseq import (
     reverse,
     weight_classes,
 )
-from delseq.exhaustive import all_weights
 from delseq.verify import _alternating, _strings as all_strings
+from whole_space import all_weights
 
 patterns = st.text(alphabet="01", min_size=1, max_size=12)
 

@@ -22,9 +22,9 @@ from delseq import (
 )
 from delseq import exhaustive
 from delseq.cli import main
-from delseq.exhaustive import all_weights
 from delseq.superspace import pattern_weight_classes
 from delseq.verify import _strings as all_strings
+from whole_space import all_weights
 
 
 def test_uncertainty_cardinality():
@@ -73,8 +73,9 @@ def test_posterior_weights_degenerate_and_cap():
     assert w == [int(y == "0110") for y in all_strings(4)]
     assert all_weights("", 0).tolist() == [1]
     with pytest.raises(EnumerationCapExceeded):
-        all_weights("1", 30)
-    assert all_weights("1", 23, max_bits=23).sum() == total_masks(23, 1)
+        exhaustive.weight_blocks("1", 30)
+    blocks = exhaustive.weight_blocks("1", 23, max_bits=23)
+    assert sum(block.sum() for _, block in blocks) == total_masks(23, 1)
 
 
 @settings(max_examples=60, deadline=None)
