@@ -35,8 +35,8 @@ from .embeddings import (
 )
 from .entropy import (
     MomentEstimate,
+    deletion_classes,
     delta1,
-    double_deletion_classes,
     entropy_estimate_from_moments,
     g_chain_entropies,
     min_minentropy_closed,

@@ -6,7 +6,7 @@ or, with ``--format json``, a single object with "schema", "params" and
 is byte-identical across identical invocations.
 
 Exit codes: 0 success, 1 verification failure (verify only), 2 invalid
-arguments, 3 enumeration cap exceeded or out of memory.
+arguments, 3 enumeration cap exceeded, out of memory or out of stack.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ from .clustering import (
 )
 from .core import Rle, check_bits, g_chain, rle_encode
 from .entropy import (
-    double_deletion_classes,
+    deletion_classes,
     entropy_estimate_from_moments,
     g_chain_entropies,
     single_deletion_classes,
@@ -50,7 +50,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (EnumerationCapExceeded, MemoryError) as exc:
+    except (EnumerationCapExceeded, MemoryError, RecursionError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except ValueError as exc:
@@ -139,8 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "classes",
         parents=[common],
-        help="single/double-deletion weight classes with identity checks",
-        description="Weight-class rows; the strings_ok and masks_ok columns "
+        help="weight classes at D deletions with identity checks",
+        description="Weight-class rows at n = m + D: the closed form at D = 1, "
+        "the mask census at D >= 2.  The strings_ok and masks_ok columns "
         "carry the same identity verdict on every row.",
     )
     p.add_argument(
@@ -148,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="run lengths, e.g. 1,2,3 or s=0,1,2,3 to set the first symbol",
     )
-    p.add_argument("--deletions", required=True, type=int, choices=(1, 2))
+    p.add_argument("--deletions", required=True, type=int, metavar="D")
     p.set_defaults(run=cmd_classes)
 
     p = sub.add_parser(
@@ -443,7 +444,7 @@ def cmd_classes(args) -> int:
     if args.deletions == 1:
         census = single_deletion_classes(x_rle)
     else:
-        census = double_deletion_classes(x_rle, max_bits=args.max_bits)
+        census = deletion_classes(x_rle, args.deletions, max_bits=args.max_bits)
     # one verdict fills both columns: the census is checked as a whole
     ok = str(census.identities_hold()).lower()
     rows = [[w, mult, ok, ok] for w, mult in census.classes]

@@ -2,13 +2,14 @@
 
 Every entropy here is ``WeightClasses.entropy`` of a weight histogram, in
 bits: one from the whole-space engine (``weight_classes``) or one counted
-directly at one or two deletions (the censuses).  The measures themselves
-are defined next to the histogram, in ``superspace``.
+from the masks of x at any number d of deletions (the censuses).  The
+measures themselves are defined next to the histogram, in ``superspace``.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterator
 from typing import NamedTuple
 
 from .core import Rle, _check_nm, binomial, g_chain, rle_decode, rle_encode
@@ -77,50 +78,51 @@ def single_deletion_classes(x_rle: Rle) -> WeightClasses:
     )
 
 
-def double_deletion_classes(
-    x_rle: Rle, max_bits: int | None = None
+def deletion_classes(
+    x_rle: Rle, d: int, max_bits: int | None = None
 ) -> WeightClasses:
-    """Weight census at n = m + 2, by counting the masks.
+    """Weight census at n = m + d, by counting the masks.
 
-    A mask of x in a length-(m + 2) string y is the choice of the two
-    (0-based) positions i < j of y that x skips, together with the symbols
-    a, b at them.  Each of the mu = 4 C(m + 2, 2) choices builds exactly one
-    y = x[:i] + a + x[i:j-1] + b + x[j-1:], and every embedding of x in y is
-    the complement of exactly one choice, so y is built omega_x(y) times.
-    One count over the mu constructions gives every weight and a second
-    count gives the classes; no embedding counter and no dedup set take part.
+    A mask of x in a length-(m + d) string y is the choice of the d positions
+    of y that x skips and of the symbols there.  Each of the
+    mu = 2^d C(m + d, d) masks builds one y, and each embedding of x in y is
+    the complement of one mask, so y is built omega_x(y) times: counting the
+    builds gives the weights, and counting the weights gives the classes.
 
-    The mask-count identity (weights sum to mu) therefore holds by
-    construction.  The string-count identity (the constructions reach every
-    one of the uncertainty_cardinality(m + 2, m) supersequences) is the real
-    check, applied by ``_checked``.  The independent oracles are in the
-    tests: the brute-force posterior census and, beyond its reach, the
-    distinct two-insertion strings weighed with ``count_embeddings_dp``.
-    The mu constructions are held to the bit cap before any work starts.
+    The weights sum to mu by construction; ``_checked`` checks that the
+    builds reach all uncertainty_cardinality(m + d, m) supersequences.  The
+    independent oracles, in the tests, are the engine's histogram and the
+    distinct d-insertion strings weighed with ``count_embeddings_dp``.
     """
     if x_rle.block_count == 0:
         raise ValueError("x must be nonempty")
+    if d < 1:
+        raise ValueError(f"deletions must be >= 1, got {d}")
     m = x_rle.length
-    mu = total_masks(m + 2, m)
     cap = resolve_max_bits(max_bits)
-    if mu > 1 << cap:
+    # refuse mu > 2^cap before any work, without forming mu: any d and cap work
+    if d + (binomial(m + d, d) - 1).bit_length() > cap:
         raise EnumerationCapExceeded(
-            f"counting {mu} masks exceeds the cap of {cap} bits"
+            f"counting 2^{d} C({m + d}, {d}) masks exceeds the cap of {cap} bits"
         )
-    x = rle_decode(x_rle)
-    weights = Counter(
-        x[:i] + a + x[i : j - 1] + b + x[j - 1 :]
-        for j in range(1, m + 2)
-        for i in range(j)
-        for a in "01"
-        for b in "01"
-    )
-    counts = Counter(weights.values())
+    counts = Counter(Counter(_builds(rle_decode(x_rle), d)).values())
     return _checked(
         WeightClasses(
-            m=m, deletions=2, classes=tuple(sorted(counts.items(), reverse=True))
+            m=m, deletions=d, classes=tuple(sorted(counts.items(), reverse=True))
         )
     )
+
+
+def _builds(x: str, d: int) -> Iterator[str]:
+    # y = b + a + x[t:]: a is y's last symbol that x skips, b a build of x[:t]
+    if d == 0:
+        yield x
+        return
+    for t in range(len(x) + 1):
+        tail0, tail1 = "0" + x[t:], "1" + x[t:]
+        for b in _builds(x[:t], d - 1):
+            yield b + tail0
+            yield b + tail1
 
 
 def _checked(census: WeightClasses) -> WeightClasses:

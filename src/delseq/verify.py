@@ -30,8 +30,8 @@ from .core import (
     rle_encode,
 )
 from .entropy import (
+    deletion_classes,
     delta1,
-    double_deletion_classes,
     entropy_estimate_from_moments,
     min_minentropy_closed,
     min_renyi2_closed,
@@ -373,13 +373,12 @@ def suite_gchain_deletions(max_n: int, rng: random.Random) -> SuiteResult:
     r = SuiteResult("gchain-deletions")
     renyi_orders = [renyi(a) for a in (0.5, 2.0, 4.0)]
     for n in range(3, min(max_n, 12) + 1):
-        for d, make in ((1, single_deletion_classes),
-                        (2, double_deletion_classes)):
+        for d in (1, 2):
             m = n - d
             if m < 1:
                 continue
             # a chain keeps its length, so every element is one of these
-            census = {x: make(rle_encode(x)) for x in _strings(m)}
+            census = {x: deletion_classes(rle_encode(x), d) for x in _strings(m)}
             for x in _strings(m):
                 chain = [census[rle_decode(s)] for s in g_chain(rle_encode(x))]
                 values = [c.entropy() for c in chain]
@@ -429,8 +428,7 @@ def suite_deletion_classes(max_n: int, rng: random.Random) -> SuiteResult:
     for _ in range(200):
         x_rle = _random_runs(rng, 20)
         m = x_rle.length
-        for make in (single_deletion_classes, double_deletion_classes):
-            census = make(x_rle)
+        for census in (single_deletion_classes(x_rle), deletion_classes(x_rle, 2)):
             r.check(
                 census.identities_hold(),
                 f"census identities failed runs={x_rle.runs} d={census.deletions}",
@@ -465,13 +463,12 @@ def suite_merge_entropy_gap(max_n: int, rng: random.Random) -> SuiteResult:
             abs(2 * n1 * gap1 - delta1(k[0], k[1])) < 1e-9,
             f"delta1 identity failed runs={k}",
         )
-        # two deletions: positivity of the scaled gap
-        mu2 = superspace.total_masks(x_rle.length + 2, x_rle.length)
+        # two deletions: positivity of the gap
         gap2 = (
-            double_deletion_classes(x_rle).entropy()
-            - double_deletion_classes(apply_g(x_rle)).entropy()
+            deletion_classes(x_rle, 2).entropy()
+            - deletion_classes(apply_g(x_rle), 2).entropy()
         )
-        r.check(mu2 * gap2 > 0, f"double-deletion gap not positive runs={k}")
+        r.check(gap2 > 0, f"double-deletion gap not positive runs={k}")
     return r
 
 

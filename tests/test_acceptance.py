@@ -16,7 +16,7 @@ from contextlib import contextmanager
 from delseq import (
     count_embeddings_dp,
     count_embeddings_runs,
-    double_deletion_classes,
+    deletion_classes,
     embedding_counts_by_block_map,
     enumerate_masks,
     renyi,
@@ -129,7 +129,7 @@ def test_criterion_4_extremization_finite_deletions():
         renyi_orders = [renyi(a) for a in (0.5, 2.0, 4.0)]
         for n in range(2, 13):
             for d, make in ((1, single_deletion_classes),
-                            (2, double_deletion_classes)):
+                            (2, lambda r: deletion_classes(r, 2))):
                 m = n - d
                 if m < 1:
                     continue
@@ -183,7 +183,7 @@ def test_criterion_6_deletion_class_identities():
             m = x_rle.length
             for census in (
                 single_deletion_classes(x_rle),
-                double_deletion_classes(x_rle),
+                deletion_classes(x_rle, 2),
             ):
                 assert census.string_count() == uncertainty_cardinality(
                     census.n, m

@@ -14,9 +14,10 @@ import pytest
 
 from delseq import cli, exhaustive
 from delseq.cli import RENDER_BLOCK_ROWS, emit, main, parse_rle, format_rle
-from delseq.core import Rle
+from delseq.core import Rle, rle_decode
 from delseq.embeddings import count_embeddings_dp
 from delseq.exhaustive import STRING_BLOCK
+from delseq.superspace import weight_classes
 from whole_space import all_weights
 
 
@@ -293,16 +294,62 @@ def test_classes_example(capsys):
     assert all(r[2] == "true" and r[3] == "true" for r in rows)
 
 
-def test_double_deletion_classes_obey_cap(capsys, monkeypatch):
-    # m = 10 has mu = 4 C(12, 2) = 264 masks: one bit above 2^8, below 2^9
-    argv = ("classes", "--x-rle", "10", "--deletions", "2")
-    assert run_cli(capsys, *argv, "--max-bits", "8") == (3, "")
-    code, out = run_cli(capsys, *argv, "--max-bits", "9")
-    assert code == 0 and parse_csv(out)[1][0][:2] == ["66", "1"]
-    monkeypatch.setenv("DELSEQ_MAX_BITS", "8")
-    assert run_cli(capsys, *argv) == (3, "")
-    monkeypatch.setenv("DELSEQ_MAX_BITS", "9")
-    assert run_cli(capsys, *argv)[0] == 0
+@pytest.mark.parametrize("x_rle,d", [("1,2,1", 3), ("s=0,1,1,2", 4)])
+def test_classes_print_the_engine_histogram(capsys, x_rle, d):
+    x = rle_decode(parse_rle(x_rle))
+    code, out = run_cli(capsys, "classes", "--x-rle", x_rle, "--deletions", str(d))
+    assert code == 0
+    expected = weight_classes(x, len(x) + d).classes
+    assert parse_csv(out)[1] == [[str(w), str(c), "true", "true"] for w, c in expected]
+
+
+def test_deletion_classes_obey_cap(capsys, monkeypatch):
+    # m = 10 has mu = 4 C(12, 2) = 264 masks: one bit above 2^8, below 2^9;
+    # m = 5 at d = 3 has mu = 8 C(8, 3) = 448 masks, also between them
+    for argv, top in (
+        (("classes", "--x-rle", "10", "--deletions", "2"), ["66", "1"]),
+        (("classes", "--x-rle", "1,1,1,1,1", "--deletions", "3"), ["11", "2"]),
+    ):
+        assert run_cli(capsys, *argv, "--max-bits", "8") == (3, "")
+        code, out = run_cli(capsys, *argv, "--max-bits", "9")
+        assert code == 0 and parse_csv(out)[1][0][:2] == top
+        monkeypatch.setenv("DELSEQ_MAX_BITS", "8")
+        assert run_cli(capsys, *argv) == (3, "")
+        monkeypatch.setenv("DELSEQ_MAX_BITS", "9")
+        assert run_cli(capsys, *argv)[0] == 0
+        monkeypatch.delenv("DELSEQ_MAX_BITS")
+
+
+def test_classes_accept_any_integer_cap(capsys):
+    argv = ("classes", "--x-rle", "1,1", "--deletions", "2", "--max-bits")
+    code, out = run_cli(capsys, *argv, "100000000000000000000")
+    assert code == 0
+    rows = [r[:2] for r in parse_csv(out)[1]]
+    assert rows == [["4", "1"], ["3", "3"], ["2", "4"], ["1", "3"]]
+    assert main([*argv, "-1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "cap of -1 bits" in captured.err
+
+
+@pytest.mark.parametrize(
+    "deletions,cap,code",
+    [
+        ("0", None, 2),
+        ("-2", None, 2),
+        # mu >= 2^d: refused before mu is formed
+        ("100000000000000000000", None, 3),
+        # admitted by the cap, then d nested builds exhaust the stack
+        ("2000", "100000", 3),
+    ],
+)
+def test_classes_deletions_out_of_range(capsys, deletions, cap, code):
+    argv = ["classes", "--x-rle", "1,1", "--deletions", deletions]
+    if cap is not None:
+        argv += ["--max-bits", cap]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
 
 
 def test_gchain_decreasing(capsys):

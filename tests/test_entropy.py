@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +15,8 @@ from delseq import (
     Measure,
     complement,
     count_embeddings_dp,
+    deletion_classes,
     delta1,
-    double_deletion_classes,
     entropy_estimate_from_moments,
     g_chain_entropies,
     min_minentropy_closed,
@@ -32,7 +33,7 @@ from delseq import (
     apply_g,
     Rle,
 )
-from delseq.superspace import parse_measure
+from delseq.superspace import parse_measure, pattern_weight_classes
 from delseq.verify import _strings as all_strings
 from delseq.verify import suite_gchain_deletions
 from whole_space import all_weights
@@ -155,51 +156,64 @@ def test_single_deletion_classes_examples():
         single_deletion_classes(Rle(None, ()))
 
 
-def test_single_deletion_classes_match_brute_force():
-    for m in range(1, 9):
-        for x in all_strings(m):
-            census = single_deletion_classes(rle_encode(x))
-            brute = weight_classes(x, m + 1)
-            assert census.classes == brute.classes
-            assert census.identities_hold()
-
-
-def test_double_deletion_classes_examples():
-    assert double_deletion_classes(rle_encode("10")).classes == (
+def test_deletion_classes_examples():
+    assert deletion_classes(rle_encode("10"), 2).classes == (
         (4, 1),
         (3, 3),
         (2, 4),
         (1, 3),
     )
-    top = double_deletion_classes(rle_encode("11")).classes[0]
+    top = deletion_classes(rle_encode("11"), 2).classes[0]
     assert top == (6, 1)  # y = 1111 carries C(4,2) masks
+    assert deletion_classes(rle_encode("1"), 3).classes[0] == (4, 1)  # y = 1111
+    for d in (0, -1):
+        with pytest.raises(ValueError):
+            deletion_classes(rle_encode("1"), d)
+    with pytest.raises(ValueError):
+        deletion_classes(Rle(None, ()), 2)
 
 
-def test_double_deletion_classes_match_brute_force():
-    for m in range(1, 9):
-        for x in all_strings(m):
-            census = double_deletion_classes(rle_encode(x))
-            brute = weight_classes(x, m + 2)
-            assert census.classes == brute.classes
-            assert census.identities_hold()
+def test_deletion_classes_match_brute_force():
+    # the census against the engine for every x with m + d <= 11, and the
+    # closed form against the census at one deletion
+    for d in (1, 2, 3):
+        for m in range(1, 12 - d):
+            xs = all_strings(m)
+            for x, brute in zip(xs, pattern_weight_classes(xs, m + d)):
+                census = deletion_classes(rle_encode(x), d)
+                assert census.classes == brute.classes
+                assert census.identities_hold()
+                if d == 1:
+                    assert single_deletion_classes(rle_encode(x)) == census
 
 
-def test_double_deletion_classes_match_insertion_oracle():
-    # beyond the posterior's reach: every distinct string two insertions away
+def test_deletion_classes_match_insertion_oracle():
+    # beyond the posterior's reach: every distinct string d insertions away
     # from x, each weighed with the counting DP
     def insertions(s):
         return {s[:i] + c + s[i:] for i in range(len(s) + 1) for c in "01"}
 
     rng = random.Random(41)
-    for m in range(13, 41):
-        x = "".join(rng.choice("01") for _ in range(m))
-        supers = {y2 for y1 in insertions(x) for y2 in insertions(y1)}
-        counts = {}
-        for y in supers:
-            w = count_embeddings_dp(x, y)
-            counts[w] = counts.get(w, 0) + 1
-        assert double_deletion_classes(rle_encode(x)).classes == tuple(
-            sorted(counts.items(), reverse=True)
+    for d, lengths in ((2, range(13, 41)), (3, range(13, 25))):
+        for m in lengths:
+            x = "".join(rng.choice("01") for _ in range(m))
+            supers = {x}
+            for _ in range(d):
+                supers = {y for s in supers for y in insertions(s)}
+            counts = Counter(count_embeddings_dp(x, y) for y in supers)
+            assert deletion_classes(rle_encode(x), d).classes == tuple(
+                sorted(counts.items(), reverse=True)
+            )
+
+
+def test_alternating_census_at_two_deletions():
+    for m in range(5, 41):
+        assert deletion_classes(Rle(0, (1,) * m), 2).classes == (
+            (m + 1, 1),
+            (4, math.comb(m, 2)),
+            (3, m),
+            (2, 2 * m),
+            (1, 3),
         )
 
 
@@ -208,7 +222,7 @@ def test_deletion_class_identities(runs):
     r = Rle(1, tuple(runs))
     m = r.length
     single = single_deletion_classes(r)
-    double = double_deletion_classes(r)
+    double = deletion_classes(r, 2)
     assert single.string_count() == uncertainty_cardinality(m + 1, m)
     assert single.mask_count() == total_masks(m + 1, m)
     assert double.string_count() == uncertainty_cardinality(m + 2, m)
@@ -312,7 +326,7 @@ def test_merge_gap_positive_double_deletion():
         r = Rle(rng.randint(0, 1), runs)
         m = sum(runs)
         mu = total_masks(m + 2, m)
-        diff = double_deletion_classes(r).entropy() - double_deletion_classes(
-            apply_g(r)
+        diff = deletion_classes(r, 2).entropy() - deletion_classes(
+            apply_g(r), 2
         ).entropy()
         assert mu * diff > 0

@@ -12,7 +12,9 @@ still computed from a whole-space posterior and the moments summed string by
 string; the m = 10 and m = 11 kappa tables and the 20-run m = 40 census were
 recorded while kappa^2 was still summed pattern by pattern and every run
 length counted in a per-character loop; the verify digest was recorded while
-the entropy suites still built each x's whole space on its own.
+the entropy suites still built each x's whole space on its own; the
+three-deletion censuses were recorded from the engine's ``weight_classes``
+histogram at n = m + 3, rendered by a hand-written CSV and JSON printer.
 """
 
 import hashlib
@@ -86,6 +88,10 @@ GOLDEN = [
     (("classes", "--x-rle", "s=1,1,3,2,1,1,2,4,1,2,1,1,3,2,2,1,5,1,2,3,2",
       "--deletions", "2"),
      "83af00f2d585460df805de7bebb757512e88a94b9899effdb83ac93317a02d69"),
+    (("classes", "--x-rle", "3,1,2,5,1,1,4", "--deletions", "3"),
+     "4c148fa424cd437d6811be926b2485909a89a0b03a89ebca5ea902da35b0ad48"),
+    (("classes", "--x-rle", "s=0,2,1,1,3,1", "--deletions", "3", "--format", "json"),
+     "7fc0a424e8e948a3f6ce2bdf376d66d957e9af9fa890ce3c6459fa0a0e4e238e"),
     (("verify", "--max-n", "6"),
      "f55a78c6463905dc09fa3cadadf1c5680ad1c91f518451423bc85cf62878d170"),
 ]
