@@ -173,18 +173,29 @@ def test_deletion_classes_examples():
         deletion_classes(Rle(None, ()), 2)
 
 
+def _check_census_against_engine(d):
+    # the census against the engine for every x with m + d <= 11
+    for m in range(1, 12 - d):
+        xs = all_strings(m)
+        for x, brute in zip(xs, pattern_weight_classes(xs, m + d)):
+            census = deletion_classes(rle_encode(x), d)
+            assert census.classes == brute.classes
+            assert census.identities_hold()
+            if d == 1:
+                # the closed form against the census at one deletion
+                assert single_deletion_classes(rle_encode(x)) == census
+
+
+def test_single_deletion_classes_match_brute_force():
+    _check_census_against_engine(1)
+
+
+def test_double_deletion_classes_match_brute_force():
+    _check_census_against_engine(2)
+
+
 def test_deletion_classes_match_brute_force():
-    # the census against the engine for every x with m + d <= 11, and the
-    # closed form against the census at one deletion
-    for d in (1, 2, 3):
-        for m in range(1, 12 - d):
-            xs = all_strings(m)
-            for x, brute in zip(xs, pattern_weight_classes(xs, m + d)):
-                census = deletion_classes(rle_encode(x), d)
-                assert census.classes == brute.classes
-                assert census.identities_hold()
-                if d == 1:
-                    assert single_deletion_classes(rle_encode(x)) == census
+    _check_census_against_engine(3)
 
 
 def test_deletion_classes_match_insertion_oracle():
