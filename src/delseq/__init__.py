@@ -35,6 +35,7 @@ from .embeddings import (
 )
 from .entropy import (
     MomentEstimate,
+    constant_classes,
     deletion_classes,
     delta1,
     entropy_estimate_from_moments,

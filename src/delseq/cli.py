@@ -396,9 +396,10 @@ def cmd_clusters(args) -> int:
     _check_pattern(x, n)
     m = len(x)
     hx = x.count("1")
+    blocks = weight_blocks(x, n, max_bits=args.max_bits)  # checks n before any array
     # cluster c holds the support strings of Hamming weight hx + c
     support = np.zeros(n + 1, dtype=np.int64)
-    for start, block in weight_blocks(x, n, max_bits=args.max_bits):
+    for start, block in blocks:
         support += hamming_weight_counts(block > 0, start, n)
     rows = []
     for c in range(n - m + 1):

@@ -1,9 +1,10 @@
 """Entropies of uncertainty sets: closed forms, censuses and estimates.
 
 Every entropy here is ``WeightClasses.entropy`` of a weight histogram, in
-bits: one from the whole-space engine (``weight_classes``) or one counted
-from the masks of x at any number d of deletions (the censuses).  The
-measures themselves are defined next to the histogram, in ``superspace``.
+bits: the whole-space engine's (``weight_classes``), a census of the masks of
+x at d deletions, or the closed form of 0^m (``constant_classes``), whose
+entropies are the minimal-entropy closed forms.  The measures themselves
+are defined next to the histogram, in ``superspace``.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from .superspace import (
     Measure,
     WeightClasses,
     pattern_weight_classes,
-    total_masks,
+    renyi,
     weight_classes,
 )
 
@@ -27,33 +28,34 @@ _LN2 = math.log(2)
 
 
 def min_shannon_closed(n: int, m: int) -> float:
-    """Shannon entropy of the posterior of the constant string, in closed form.
-
-    The minimum over all x of length m: grouping supersequences of 0^m by
-    their number of ones j leaves weight C(n-j, m) with multiplicity C(n, j).
-    """
-    mu = total_masks(n, m)
-    return -math.fsum(
-        binomial(n, j)
-        * (binomial(n - j, m) / mu)
-        * math.log2(binomial(n - j, m) / mu)
-        for j in range(n - m + 1)
-    )
+    """Shannon entropy of the constant string's posterior: its minimum over x."""
+    return constant_classes(n, m).entropy()
 
 
 def min_renyi2_closed(n: int, m: int) -> float:
     """Second-order Renyi entropy of the constant string's posterior."""
-    mu = total_masks(n, m)
-    power_sum = math.fsum(
-        binomial(n, j) * (binomial(n - j, m) / mu) ** 2 for j in range(n - m + 1)
-    )
-    return -math.log2(power_sum)
+    return constant_classes(n, m).entropy(renyi(2))
 
 
 def min_minentropy_closed(n: int, m: int) -> int:
     """Min-entropy of the constant string's posterior: exactly n - m."""
     _check_nm(n, m)
     return n - m
+
+
+def constant_classes(n: int, m: int) -> WeightClasses:
+    """Weight histogram of the constant string 0^m over length n, closed form.
+
+    Its entropies are the minima over all x of length m.  Grouping the
+    supersequences of 0^m by their number j of ones leaves weight C(n-j, m),
+    the choices of m of the n - j zeros, with multiplicity C(n, j), for
+    j = 0..n - m, heaviest first.  At m = 0 every weight is 1: one class.
+    """
+    _check_nm(n, m)
+    if m == 0:
+        return WeightClasses(m=0, deletions=n, classes=((1, 1 << n),))
+    classes = tuple((binomial(n - j, m), binomial(n, j)) for j in range(n - m + 1))
+    return WeightClasses(m=m, deletions=n - m, classes=classes)
 
 
 def single_deletion_classes(x_rle: Rle) -> WeightClasses:
@@ -64,18 +66,9 @@ def single_deletion_classes(x_rle: Rle) -> WeightClasses:
     """
     if x_rle.block_count == 0:
         raise ValueError("x must be nonempty")
-    k = x_rle.runs
-    m = x_rle.length
-    counts: dict[int, int] = {}
-    for ki in k:
-        counts[ki + 1] = counts.get(ki + 1, 0) + 1
-    singles = m - len(k) + 2
-    counts[1] = counts.get(1, 0) + singles
-    return _checked(
-        WeightClasses(
-            m=m, deletions=1, classes=tuple(sorted(counts.items(), reverse=True))
-        )
-    )
+    counts = Counter(k + 1 for k in x_rle.runs)
+    counts[1] += x_rle.length - x_rle.block_count + 2
+    return _checked(x_rle.length, 1, counts)
 
 
 def deletion_classes(
@@ -106,11 +99,7 @@ def deletion_classes(
             f"counting 2^{d} C({m + d}, {d}) masks exceeds the cap of {cap} bits"
         )
     counts = Counter(Counter(_builds(rle_decode(x_rle), d)).values())
-    return _checked(
-        WeightClasses(
-            m=m, deletions=d, classes=tuple(sorted(counts.items(), reverse=True))
-        )
-    )
+    return _checked(m, d, counts)
 
 
 def _builds(x: str, d: int) -> Iterator[str]:
@@ -125,7 +114,8 @@ def _builds(x: str, d: int) -> Iterator[str]:
             yield b + tail1
 
 
-def _checked(census: WeightClasses) -> WeightClasses:
+def _checked(m: int, d: int, counts: Counter) -> WeightClasses:
+    census = WeightClasses(m, d, tuple(sorted(counts.items(), reverse=True)))
     # the string-count and weight-sum identities are non-negotiable: a census
     # that misses or double-counts anything must never leave this module
     if not census.identities_hold():

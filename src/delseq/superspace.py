@@ -133,7 +133,21 @@ class WeightClasses:
         depend on the order of the classes.  A single class (n = m) makes the
         negated or divided logs -0.0; adding 0.0 returns 0.0 there and leaves
         every other float as it is.
+
+        The float range, outside which a measure raises ValueError: Hartley
+        has none; the others need the heaviest weight/mu to be at least
+        2^-1074, Shannon every weight/mu, and Shannon and Renyi need every
+        multiplicity, and Renyi below order 1 its power sum, below 2^1024.
         """
+        try:
+            return self._entropy(measure)
+        except (OverflowError, ValueError) as exc:  # float overflow, log2(0.0)
+            raise ValueError(
+                f"{measure} entropy at n={self.n}, m={self.m} is outside the float "
+                "range: a multiplicity reaches 2^1024 or a probability 0.0"
+            ) from exc
+
+    def _entropy(self, measure: Measure) -> float:
         classes, mu = self.classes, self.mu
         if measure.kind == "hartley":
             return math.log2(self.string_count())

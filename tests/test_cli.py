@@ -116,6 +116,12 @@ def test_exit_codes(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["clusters", "singletons", "gchain", "estimate"])
+def test_huge_n_exits_3_before_any_array(capsys, command):
+    assert main([command, "--x", "0", "--n", "10000000000"]) == 3
+    assert "exceeds the cap" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("token", ["renyi:nan", "renyi:inf", "renyi:-inf"])
 def test_non_finite_renyi_order_rejected(capsys, token):
     for argv in (

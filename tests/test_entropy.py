@@ -14,6 +14,7 @@ from delseq import (
     SHANNON,
     Measure,
     complement,
+    constant_classes,
     count_embeddings_dp,
     deletion_classes,
     delta1,
@@ -125,8 +126,12 @@ def test_entropy_symmetries_exhaustive():
 
 def test_min_shannon_closed():
     assert min_shannon_closed(2, 1) == pytest.approx(1.5)
-    assert min_shannon_closed(8, 5) == pytest.approx(5.4649, abs=5e-4)
     assert min_shannon_closed(6, 6) == 0.0
+    # the floats of the hand-written sum that the histogram's entropy replaced
+    assert min_shannon_closed(8, 5) == 5.464955585487935
+    assert min_shannon_closed(20, 10) == 16.16804699309705
+    assert min_shannon_closed(56, 28) == 45.37779115991538
+    assert min_shannon_closed(1000, 6) == 999.9740184224361
 
 
 def test_min_renyi2_closed():
@@ -134,6 +139,38 @@ def test_min_renyi2_closed():
     assert min_renyi2_closed(7, 7) == 0.0
     direct = weight_classes("00000", 8).entropy(renyi(2))
     assert min_renyi2_closed(8, 5) == pytest.approx(direct, abs=1e-9)
+    assert min_renyi2_closed(8, 5) == 4.698830465279435
+    assert min_renyi2_closed(20, 10) == 14.546224932929928
+    assert min_renyi2_closed(56, 28) == 40.77106346968176
+
+
+def _log2(v: int) -> float:
+    """log2 of a positive int of any size, from its bit length and top 60 bits."""
+    shift = max(v.bit_length() - 60, 0)
+    return shift + math.log2(v >> shift)
+
+
+def test_min_renyi2_closed_past_power_sum_underflow():
+    # from about n = 600 at m = 6 the power sum underflows to 0.0
+    wc = constant_classes(1000, 6)
+    exact = 2 * _log2(wc.mu) - _log2(sum(mult * w * w for w, mult in wc.classes))
+    assert min_renyi2_closed(1000, 6) == pytest.approx(exact, abs=1e-9)
+    assert math.isfinite(min_renyi2_closed(600, 6))
+
+
+def test_entropy_float_range():
+    # C(1029, 514) < 2^1024 < C(1030, 515): the multiplicities leave the doubles
+    assert min_shannon_closed(1029, 6) == 1028.9747510135703
+    assert min_renyi2_closed(1029, 6) == 1028.9497936028304
+    for closed in (min_shannon_closed, min_renyi2_closed):
+        with pytest.raises(ValueError, match="outside the float range"):
+            closed(1030, 6)
+    # from n = 1081 the probabilities underflow to 0.0 as well
+    wc = constant_classes(2000, 6)
+    for measure in (SHANNON, MIN_ENTROPY, renyi(2)):
+        with pytest.raises(ValueError, match="outside the float range"):
+            wc.entropy(measure)
+    assert wc.entropy(HARTLEY) == math.log2(wc.string_count())
 
 
 def test_min_minentropy_closed():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from delseq import (
     EnumerationCapExceeded,
     binomial,
+    constant_classes,
     count_distinct_subsequences,
     count_embeddings_dp,
     expected_distinct_subsequences,
@@ -101,15 +102,16 @@ def test_weight_classes_examples():
 
 
 def test_weight_classes_constant_string():
-    n, m = 9, 4
-    wc = weight_classes("0" * m, n)
-    expected = tuple(
-        sorted(
-            ((binomial(n - j, m), binomial(n, j)) for j in range(n - m + 1)),
-            reverse=True,
-        )
+    # the closed-form histogram of 0^m is the engine's, m = 0 included
+    for n in range(13):
+        for m in range(n + 1):
+            assert constant_classes(n, m) == weight_classes("0" * m, n)
+    assert all(
+        constant_classes(n, m).identities_hold()
+        for n in range(201)
+        for m in {0, 1, 2, 6, n // 2, n - 1, n}
+        if 0 <= m <= n
     )
-    assert wc.classes == expected
 
 
 def test_weight_classes_totals_constant_over_x():
