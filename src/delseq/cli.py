@@ -39,7 +39,7 @@ from .exhaustive import (
     EnumerationCapExceeded,
     MAX_BITS_ENV,
     hamming_weight_counts,
-    weight_blocks,
+    pattern_blocks,
 )
 from .hws import kappa_entropy_table, pattern_sweep, sorted_by_kappa
 from .superspace import WeightClasses, parse_measure, weight_classes
@@ -279,23 +279,26 @@ def emit(args, schema: str, params: dict, columns: list[str], rows) -> None:
 def posterior_rows(blocks, n: int, wc: WeightClasses, layout: Layout):
     """Yield the (y, omega, prob) rows of the engine's ``blocks`` laid out.
 
-    A row is one fixed-width record: the lead and digits of y's prefix row,
-    the digits of its suffix column, and the text after y, which is
-    formatted once for each class of ``wc`` (the blocks' own histogram)
-    and picked by the weight's rank among the classes.  Rows come in
-    slices of RENDER_BLOCK_ROWS, each followed by ``layout.sep``.  A
-    slice's records are decoded straight from their buffer as UTF-8 with
-    errors ignored: every rendered byte is ASCII and the records' padding
-    byte 0xFF never occurs in UTF-8, so the decoder drops exactly the padding.
+    ``blocks`` are the ``(first, start, block)`` triples of ``pattern_blocks``
+    for one pattern.  A row is one fixed-width record: the lead and digits of
+    y's prefix row, the digits of its suffix column, and the text after y,
+    which is formatted once for each class of ``wc`` (the blocks' own
+    histogram) and picked by the weight's rank among the classes.  All three
+    tables and the records are built once per dump; a block adds only its
+    support, offset by its first row.  Rows come in slices of
+    RENDER_BLOCK_ROWS, each followed by ``layout.sep``.  A slice's records are
+    decoded straight from their buffer as UTF-8 with errors ignored: every
+    rendered byte is ASCII and the records' padding byte 0xFF never occurs in
+    UTF-8, so the decoder drops exactly the padding.
     """
     mark, lead = layout.mark, layout.lead
     # the text between y and omega, between omega and prob, and after prob
     to_omega, to_prob = mark + lead[1] + mark, mark + lead[2] + mark
     end = mark + layout.end + layout.sep
     k = n // 2
-    shift = n - k  # y = (start + row) * 2^shift + column
-    # the numeral of 2^bits + v less its leading 1 is v in bits digits, even 0
-    suffixes = _records([f"{1 << shift | v:b}"[1:].encode() for v in range(2**shift)])
+    shift = n - k  # y = row * 2^shift + column
+    prefixes = _digits(lead[0] + mark, k)
+    suffixes = _digits("", shift)
     values = [w for w, _ in wc.classes]  # heaviest first
     mu = wc.mu
     # Python ints, so w / mu is the same float as for every other caller
@@ -305,25 +308,31 @@ def posterior_rows(blocks, n: int, wc: WeightClasses, layout: Layout):
     # rank_of[w] is the rank of weight w; at most C(n, m) + 1 entries
     rank_of = np.zeros(values[0] + 1, dtype=np.intp)
     rank_of[values] = np.arange(len(values))
-    for start, block in blocks:
+    records = np.empty(
+        min(wc.string_count(), RENDER_BLOCK_ROWS),
+        [("prefix", prefixes.dtype), ("suffix", suffixes.dtype),
+         ("tail", tails.dtype)],
+    )
+    for _, start, (block,) in blocks:
         weights = block.ravel()
         (support,) = np.nonzero(weights)
         rank = rank_of[weights[support].astype(np.intp)]
-        prefixes = _records(
-            [(lead[0] + mark + f"{1 << k | u:b}"[1:]).encode()
-             for u in range(start, start + len(block))]
-        )
-        fields = [("prefix", prefixes.dtype), ("suffix", suffixes.dtype)]
-        records = np.empty(
-            min(len(support), RENDER_BLOCK_ROWS), fields + [("tail", tails.dtype)]
-        )
+        support += start << shift  # y itself
         for s in range(0, len(support), RENDER_BLOCK_ROWS):
-            index = support[s : s + RENDER_BLOCK_ROWS]  # row * 2^shift + column
-            text = records[: len(index)]
-            text["prefix"] = prefixes[index >> shift]
-            text["suffix"] = suffixes[index & ((1 << shift) - 1)]
+            y = support[s : s + RENDER_BLOCK_ROWS]
+            text = records[: len(y)]
+            text["prefix"] = prefixes[y >> shift]
+            text["suffix"] = suffixes[y & ((1 << shift) - 1)]
             text["tail"] = tails[rank[s : s + RENDER_BLOCK_ROWS]]
             yield utf_8_decode(text.view(np.uint8), "ignore", True)[0]
+
+
+def _digits(lead: str, bits: int) -> np.ndarray:
+    """Records of ``lead`` then v in ``bits`` binary digits, for every v < 2^bits."""
+    # the numeral of 2^bits + v less its leading 1 is v in bits digits, even 0
+    return _records(
+        [(lead + f"{1 << bits | v:b}"[1:]).encode() for v in range(1 << bits)]
+    )
 
 
 def _records(texts: list[bytes]) -> np.ndarray:
@@ -358,7 +367,7 @@ def _check_pattern(x: str, n: int) -> None:
 def cmd_posterior(args) -> int:
     x, n = args.x, args.n
     wc = weight_classes(x, n, max_bits=args.max_bits)  # checks x, n and the cap
-    blocks = weight_blocks(x, n, max_bits=args.max_bits)
+    blocks = pattern_blocks([x], n, max_bits=args.max_bits)
     layout = Layout.of(
         args.format, "posterior", {"x": x, "n": n}, ["y", "omega", "prob"]
     )
@@ -396,10 +405,11 @@ def cmd_clusters(args) -> int:
     _check_pattern(x, n)
     m = len(x)
     hx = x.count("1")
-    blocks = weight_blocks(x, n, max_bits=args.max_bits)  # checks n before any array
+    # checks n before any array
+    blocks = pattern_blocks([x], n, max_bits=args.max_bits)
     # cluster c holds the support strings of Hamming weight hx + c
     support = np.zeros(n + 1, dtype=np.int64)
-    for start, block in blocks:
+    for _, start, (block,) in blocks:
         support += hamming_weight_counts(block > 0, start, n)
     rows = []
     for c in range(n - m + 1):
@@ -428,7 +438,7 @@ def cmd_singletons(args) -> int:
     profile = rho(x)
     brute = sum(
         int(np.count_nonzero(block == 1))
-        for _, block in weight_blocks(x, n, max_bits=args.max_bits)
+        for _, _, (block,) in pattern_blocks([x], n, max_bits=args.max_bits)
     )
     emit(
         args,

@@ -50,12 +50,19 @@ def constant_classes(n: int, m: int) -> WeightClasses:
     supersequences of 0^m by their number j of ones leaves weight C(n-j, m),
     the choices of m of the n - j zeros, with multiplicity C(n, j), for
     j = 0..n - m, heaviest first.  At m = 0 every weight is 1: one class.
+    Both binomials come from one running product each, exact integer steps
+    C(n-j-1, m) = C(n-j, m) (n-j-m) / (n-j) and C(n, j+1) = C(n, j) (n-j) / (j+1).
     """
     _check_nm(n, m)
     if m == 0:
         return WeightClasses(m=0, deletions=n, classes=((1, 1 << n),))
-    classes = tuple((binomial(n - j, m), binomial(n, j)) for j in range(n - m + 1))
-    return WeightClasses(m=m, deletions=n - m, classes=classes)
+    classes = []
+    weight, mult = binomial(n, m), 1
+    for j in range(n - m + 1):
+        classes.append((weight, mult))
+        weight = weight * (n - j - m) // (n - j)
+        mult = mult * (n - j) // (j + 1)
+    return WeightClasses(m=m, deletions=n - m, classes=tuple(classes))
 
 
 def single_deletion_classes(x_rle: Rle) -> WeightClasses:

@@ -17,11 +17,12 @@ over a list of patterns of one length: it yields the product in blocks of
 about 2^16 strings.  Below that size one block stacks the whole spaces of
 several patterns, one batched product of their stacked tables, so a pattern
 sweep at small n costs one product per block, not one per pattern; from
-2^16 strings on, a block is whole prefix rows of one pattern.
-``weight_blocks`` is the stack of one x, with 2-D blocks.  Every
-whole-space result the package reports, the posterior dump included, takes
-the blocks one at a time or reduces them to a weight histogram, and never
-holds 2^n weights; only the tests copy the blocks into one 2^n array.
+2^16 strings on, a block is whole prefix rows of one pattern.  A single x
+is the stack of one, ``pattern_blocks([x], n)``, whose blocks hold one
+plane.  Every whole-space result the package reports, the posterior dump
+included, takes the blocks one at a time or reduces them to a weight
+histogram, and never holds 2^n weights; only the tests copy the blocks into
+one 2^n array.
 
 Every table entry, term and partial sum is a nonnegative integer no larger
 than omega_x(y) <= C(n, m), and every such integer is exact in float64 while
@@ -179,22 +180,6 @@ def _products(xs, n, stack, tables):
             yield first, start, prefix[:, start : start + rows] @ suffix
 
 
-def weight_blocks(
-    x: str, n: int, max_bits: int | None = None
-) -> Iterator[tuple[int, np.ndarray]]:
-    """The weights of every length-n y as float64 blocks of the product.
-
-    ``pattern_blocks`` of the stack of one x: yields ``(start, block)`` in
-    ascending order, where ``block[i, j]`` is omega_x(y) for ``y = (start +
-    i) * 2^(n - n//2) + j``, that is, block rows are the prefix rows
-    ``start, start + 1, ...`` and its columns every suffix.  A block holds
-    about STRING_BLOCK strings (whole prefix rows), or the whole space when
-    that is smaller.  Checks and tables come at the call, as there.
-    """
-    blocks = pattern_blocks([x], n, max_bits)
-    return ((start, block[0]) for _, start, block in blocks)
-
-
 @cache
 def _popcounts(k: int) -> np.ndarray:
     """h(u) for every u of length k: prepending a 1 adds one to the count.
@@ -211,13 +196,14 @@ def _popcounts(k: int) -> np.ndarray:
 def hamming_weight_counts(select: np.ndarray, start: int, n: int) -> np.ndarray:
     """``counts[h]``: how many selected y have Hamming weight h, h = 0..n.
 
-    ``select`` is shaped like a block of ``weight_blocks``: its row i holds
-    the y of prefix row ``start + i``, one column per suffix, so the Hamming
-    weight of an entry is that of its prefix plus that of its suffix.  One
-    product with the one-hot matrix of the suffix weights counts each row's
-    selected entries per suffix weight j; one weighted ``bincount`` at the
-    row's prefix weight plus j adds them up.  Every partial sum is a count of
-    block entries, an integer far below 2^53, so the float64 sums are exact.
+    ``select`` is shaped like one plane of a ``pattern_blocks`` block: its
+    row i holds the y of prefix row ``start + i``, one column per suffix, so
+    the Hamming weight of an entry is that of its prefix plus that of its
+    suffix.  One product with the one-hot matrix of the suffix weights counts
+    each row's selected entries per suffix weight j; one weighted
+    ``bincount`` at the row's prefix weight plus j adds them up.  Every
+    partial sum is a count of block entries, an integer far below 2^53, so
+    the float64 sums are exact.
     """
     k = n // 2
     suffix = _popcounts(n - k)

@@ -14,7 +14,7 @@ from operator import itemgetter
 import numpy as np
 
 from .core import _check_nm, binomial, check_bits, complement
-from .exhaustive import check_enumerable
+from .exhaustive import EnumerationCapExceeded, check_enumerable, resolve_max_bits
 from .superspace import SHANNON, pattern_weight_classes
 
 
@@ -121,7 +121,8 @@ def pattern_sweep(
     through one ``pattern_weight_classes`` call, so at small n one product
     and one ``bincount`` cover a whole stack of them.  Without n nothing is
     enumerated and the rows are (x, kappa^2(x)).  The 2^m patterns are held
-    to the enumeration cap before any work starts.
+    to the enumeration cap before any work starts, and with n so are the
+    orbits × 2^n strings, before any is enumerated.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -136,6 +137,13 @@ def pattern_sweep(
         return rows
     least = [_orbit_least(x) for x, _ in rows]
     orbits = list(dict.fromkeys(least))
+    cap = resolve_max_bits(max_bits)
+    # len(orbits) * 2^n > 2^cap, without forming 2^n: any n and cap work
+    if (len(orbits) - 1).bit_length() + n > cap:
+        raise EnumerationCapExceeded(
+            f"enumerating {len(orbits)} × 2^{n} strings exceeds the cap of "
+            f"{cap} bits"
+        )
     histograms = pattern_weight_classes(orbits, n, max_bits=max_bits)
     entropies = {
         x: tuple(wc.entropy(ms) for ms in measures)

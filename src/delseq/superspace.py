@@ -27,9 +27,17 @@ from .exhaustive import pattern_blocks
 
 
 def uncertainty_cardinality(n: int, m: int) -> int:
-    """Number of length-n supersequences of any length-m string."""
+    """Number of length-n supersequences of any length-m string.
+
+    The sum of C(n, r) over r = m..n, each term from the last by the exact
+    step C(n, r+1) = C(n, r) (n-r) / (r+1).
+    """
     _check_nm(n, m)
-    return sum(binomial(n, r) for r in range(m, n + 1))
+    total, term = 0, binomial(n, m)
+    for r in range(m, n + 1):
+        total += term
+        term = term * (n - r) // (r + 1)
+    return total
 
 
 def total_masks(n: int, m: int) -> int:

@@ -148,7 +148,7 @@ def test_out_of_memory_exits_3(capsys, monkeypatch, message):
     def allocate(*args, **kwargs):
         raise MemoryError(message)
 
-    monkeypatch.setattr(cli, "weight_blocks", allocate)
+    monkeypatch.setattr(cli, "pattern_blocks", allocate)
     for argv in (
         ["singletons", "--x", "0110", "--n", "8"],
         ["clusters", "--x", "0110", "--n", "8"],
@@ -240,6 +240,33 @@ def test_kappa_table_obeys_cap(capsys, monkeypatch):
     assert code == 0 and len(parse_csv(out)[1]) == 16
     monkeypatch.setenv("DELSEQ_MAX_BITS", "3")
     assert run_cli(capsys, "kappa", "--m", "4") == (3, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("entropy-scan", "--n", "8", "--m", "4"), ("kappa", "--m", "4", "--n", "8")],
+)
+def test_sweep_work_obeys_cap(capsys, monkeypatch, argv):
+    # the 6 orbits of m = 4 at n = 8 enumerate 6 * 2^8 = 1 536 strings:
+    # refused at 10 bits before any block, admitted at 11 with the default output
+    from delseq import superspace
+
+    called = []
+    engine = superspace.pattern_blocks
+
+    def counting(*args, **kwargs):
+        called.append(args)
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(superspace, "pattern_blocks", counting)
+    assert main([*argv, "--max-bits", "10"]) == 3
+    assert capsys.readouterr() == (
+        "", "error: enumerating 6 × 2^8 strings exceeds the cap of 10 bits\n"
+    )
+    assert called == []
+    default = run_cli(capsys, *argv)
+    assert default[0] == 0 and called
+    assert run_cli(capsys, *argv, "--max-bits", "11") == default
 
 
 def test_clusters_methods_agree(capsys):

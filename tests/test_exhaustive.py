@@ -21,15 +21,14 @@ from delseq.exhaustive import (
     hamming_weight_counts,
     pattern_blocks,
     resolve_max_bits,
-    weight_blocks,
 )
 from delseq.verify import _strings as all_strings
 from whole_space import all_weights
 
 
 def _strings_in(blocks):
-    """How many strings the blocks of ``weight_blocks`` hold, and their total weight."""
-    sizes, totals = zip(*((block.size, block.sum()) for _, block in blocks))
+    """How many strings the blocks of one x hold, and their total weight."""
+    sizes, totals = zip(*((block.size, block.sum()) for _, _, block in blocks))
     return sum(sizes), sum(totals)
 
 
@@ -89,29 +88,29 @@ def test_float64_exactness_guard():
             with pytest.raises(
                 EnumerationCapExceeded, match=rf"C\({n},{m}\).*float64.*2\^53"
             ):
-                weight_blocks("0" * m, n, max_bits=n)
+                pattern_blocks(["0" * m], n, max_bits=n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
 
 
-def test_weight_blocks_rejects_negative_length():
+def test_pattern_blocks_rejects_negative_length():
     for x in ("0", ""):
         with pytest.raises(ValueError, match="n >= 0"):
-            weight_blocks(x, -1)
+            pattern_blocks([x], -1)
 
 
-def test_weight_blocks_checks_when_called():
+def test_pattern_blocks_checks_when_called():
     # a bad argument raises at the call, before any block is asked for
-    for args, error in (
+    for (x, *args), error in (
         (("012", 5), ValueError),
         (("0", -1), ValueError),
         (("1", 25), EnumerationCapExceeded),
         (("0" * 28, 57, 57), EnumerationCapExceeded),
     ):
         with pytest.raises(error):
-            weight_blocks(*args)
+            pattern_blocks([x], *args)
 
 
 def test_hamming_weight_counts_of_each_string():
@@ -134,7 +133,7 @@ def test_hamming_weight_counts_match_per_weight_scan():
         rows = select.reshape(1 << (n // 2), -1)
         counts = sum(
             hamming_weight_counts(rows[start : start + len(block)], start, n)
-            for start, block in weight_blocks("1", n, max_bits=n)
+            for _, start, (block,) in pattern_blocks(["1"], n, max_bits=n)
         )
         assert counts.dtype == np.int64
         assert counts.tolist() == [
@@ -159,7 +158,7 @@ def test_hamming_weight_counts_beyond_one_block(n):
     ):
         counts = sum(
             hamming_weight_counts(rows[start : start + len(block)], start, n)
-            for start, block in weight_blocks("1", n, max_bits=n)
+            for _, start, (block,) in pattern_blocks(["1"], n, max_bits=n)
         )
         assert counts.dtype == np.int64
         assert counts.tolist() == want
@@ -217,16 +216,16 @@ def test_canonical_ends_last_matches_canonical():
 
 def test_cap_enforced():
     with pytest.raises(EnumerationCapExceeded):
-        weight_blocks("1", 25)
-    assert _strings_in(weight_blocks("1", 5, max_bits=5)) == (2**5, 5 * 2**4)
+        pattern_blocks(["1"], 25)
+    assert _strings_in(pattern_blocks(["1"], 5, max_bits=5)) == (2**5, 5 * 2**4)
 
 
 def test_cap_env_override(monkeypatch):
     monkeypatch.setenv("DELSEQ_MAX_BITS", "3")
     with pytest.raises(EnumerationCapExceeded):
-        weight_blocks("1", 4)
+        pattern_blocks(["1"], 4)
     monkeypatch.setenv("DELSEQ_MAX_BITS", "4")
-    assert _strings_in(weight_blocks("1", 4))[0] == 16
+    assert _strings_in(pattern_blocks(["1"], 4))[0] == 16
     monkeypatch.setenv("DELSEQ_MAX_BITS", "2O")
     with pytest.raises(ValueError, match="DELSEQ_MAX_BITS.*'2O'"):
         resolve_max_bits()

@@ -154,6 +154,23 @@ def test_kappa_entropy_table_shape_and_order():
         kappa_entropy_table(30, 2)
 
 
+def test_pattern_sweep_holds_orbits_times_strings_to_cap():
+    # 6, 10, 20 and 36 orbits at m = 4..7: a sweep enumerates orbits * 2^n
+    # strings, refused one bit below that and run in full at it
+    from delseq.hws import pattern_sweep
+
+    for m, orbits in zip(range(4, 8), (6, 10, 20, 36)):
+        n = m + 4
+        bits = ((orbits << n) - 1).bit_length()
+        with pytest.raises(EnumerationCapExceeded, match=rf"^enumerating {orbits} × "):
+            pattern_sweep(m, n, (SHANNON,), max_bits=bits - 1)
+        rows = pattern_sweep(m, n, (SHANNON,), max_bits=bits)
+        assert rows == pattern_sweep(m, n, (SHANNON,), max_bits=22)
+    # refused before any power of two is formed
+    with pytest.raises(EnumerationCapExceeded, match=r"3 × 2\^10000000000 strings"):
+        pattern_sweep(3, 10**10, (SHANNON,))
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="kappa^2 does not order entropy perfectly over all 32 strings at "

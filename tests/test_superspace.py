@@ -1,5 +1,6 @@
 """Uncertainty-set posteriors, weight histograms and distinct-subsequence statistics."""
 
+import math
 import tracemalloc
 from collections import Counter
 
@@ -34,6 +35,23 @@ def test_uncertainty_cardinality():
     assert uncertainty_cardinality(6, 0) == 2**6
     with pytest.raises(ValueError):
         uncertainty_cardinality(3, 4)
+
+
+
+def test_closed_forms_equal_their_per_term_sums():
+    # the running products against one math.comb per term
+    for n in range(121):
+        for m in range(n + 1):
+            terms = sum(math.comb(n, r) for r in range(m, n + 1))
+            assert uncertainty_cardinality(n, m) == terms, (n, m)
+            classes = tuple(
+                (math.comb(n - j, m), math.comb(n, j)) for j in range(n - m + 1)
+            )
+            assert constant_classes(n, m).classes == (
+                classes if m else ((1, 1 << n),)
+            ), (n, m)
+    # and at n = 10^4, where a comb per term is slow
+    assert constant_classes(10**4, 6).identities_hold()
 
 
 def test_total_masks():
@@ -74,9 +92,9 @@ def test_posterior_weights_degenerate_and_cap():
     assert w == [int(y == "0110") for y in all_strings(4)]
     assert all_weights("", 0).tolist() == [1]
     with pytest.raises(EnumerationCapExceeded):
-        exhaustive.weight_blocks("1", 30)
-    blocks = exhaustive.weight_blocks("1", 23, max_bits=23)
-    assert sum(block.sum() for _, block in blocks) == total_masks(23, 1)
+        exhaustive.pattern_blocks(["1"], 30)
+    blocks = exhaustive.pattern_blocks(["1"], 23, max_bits=23)
+    assert sum(block.sum() for _, _, (block,) in blocks) == total_masks(23, 1)
 
 
 @settings(max_examples=60, deadline=None)
