@@ -6,13 +6,15 @@ or, with ``--format json``, a single object with "schema", "params" and
 is byte-identical across identical invocations.
 
 Exit codes: 0 success, 1 verification failure (verify only), 2 invalid
-arguments, 3 enumeration cap exceeded, out of memory or out of stack.
+arguments, 3 enumeration cap exceeded, out of memory or out of stack, 141
+(128 + SIGPIPE) when the reader closes the output pipe.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import io
+import os
 import sys
 from codecs import utf_8_decode
 from dataclasses import dataclass
@@ -49,7 +51,15 @@ from .verify import run_all, suite_names
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # a late EPIPE is caught here too
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send the exit flush of what is left to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (EnumerationCapExceeded, MemoryError, RecursionError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3

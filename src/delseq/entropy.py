@@ -14,7 +14,7 @@ from collections.abc import Iterator
 from typing import NamedTuple
 
 from .core import Rle, _check_nm, binomial, g_chain, rle_decode, rle_encode
-from .exhaustive import EnumerationCapExceeded, resolve_max_bits
+from .exhaustive import check_enumerable
 from .superspace import (
     SHANNON,
     Measure,
@@ -99,12 +99,7 @@ def deletion_classes(
     if d < 1:
         raise ValueError(f"deletions must be >= 1, got {d}")
     m = x_rle.length
-    cap = resolve_max_bits(max_bits)
-    # refuse mu > 2^cap before any work, without forming mu: any d and cap work
-    if d + (binomial(m + d, d) - 1).bit_length() > cap:
-        raise EnumerationCapExceeded(
-            f"counting 2^{d} C({m + d}, {d}) masks exceeds the cap of {cap} bits"
-        )
+    check_enumerable(d, max_bits, count=binomial(m + d, d))
     counts = Counter(Counter(_builds(rle_decode(x_rle), d)).values())
     return _checked(m, d, counts)
 

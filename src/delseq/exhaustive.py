@@ -30,9 +30,9 @@ C(n, m) < 2^53 (every m at every n <= 56); ``pattern_blocks`` checks that
 bound before allocating anything.  Callers convert to Python ints at the
 boundary.
 
-Full enumeration refuses to run above a size cap (default 22 bits) rather
-than silently thrash; override with the ``max_bits`` argument or the
-DELSEQ_MAX_BITS environment variable.
+``check_enumerable`` is the one check of work against a size cap (default 22
+bits), for the engine, the pattern sweeps and the census, before any work
+starts; override the cap with ``max_bits`` or DELSEQ_MAX_BITS.
 """
 from __future__ import annotations
 
@@ -66,11 +66,15 @@ def resolve_max_bits(max_bits: int | None = None) -> int:
     return DEFAULT_MAX_BITS
 
 
-def check_enumerable(n: int, max_bits: int | None = None) -> None:
+def check_enumerable(n: int, max_bits: int | None = None, count: int = 1) -> None:
+    """Refuse count × 2^n strings above 2^cap, forming no power of two."""
     cap = resolve_max_bits(max_bits)
-    if n > cap:
+    if (count - 1).bit_length() + n > cap:
+        # str() refuses ints past 4300 digits: a huge count is worded by its size
+        size = count if count < 1 << 64 else f"at least 2^{count.bit_length() - 1}"
+        work = f"2^{n}" if count == 1 else f"{size} × 2^{n}"
         raise EnumerationCapExceeded(
-            f"enumerating 2^{n} strings exceeds the cap of {cap} bits"
+            f"enumerating {work} strings exceeds the cap of {cap} bits"
         )
 
 

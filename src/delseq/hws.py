@@ -14,7 +14,7 @@ from operator import itemgetter
 import numpy as np
 
 from .core import _check_nm, binomial, check_bits, complement
-from .exhaustive import EnumerationCapExceeded, check_enumerable, resolve_max_bits
+from .exhaustive import check_enumerable
 from .superspace import SHANNON, pattern_weight_classes
 
 
@@ -120,15 +120,16 @@ def pattern_sweep(
     least of them is enumerated.  The least strings of every orbit go
     through one ``pattern_weight_classes`` call, so at small n one product
     and one ``bincount`` cover a whole stack of them.  Without n nothing is
-    enumerated and the rows are (x, kappa^2(x)).  The 2^m patterns are held
-    to the enumeration cap before any work starts, and with n so are the
-    orbits × 2^n strings, before any is enumerated.
+    enumerated and the rows are (x, kappa^2(x)).  The 2^m patterns, and with
+    n the ``orbit_count(m)`` × 2^n strings, meet the cap before any work.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if n is not None and m > n:
         raise ValueError(f"need 1 <= m <= n, got n={n} m={m}")
     check_enumerable(m, max_bits)
+    if n is not None:
+        check_enumerable(n, max_bits, count=orbit_count(m))
     rows = []
     for lo in range(0, 1 << m, SWEEP_BLOCK):
         kappas = kappa_squared_block(m, lo, min(lo + SWEEP_BLOCK, 1 << m))
@@ -137,19 +138,18 @@ def pattern_sweep(
         return rows
     least = [_orbit_least(x) for x, _ in rows]
     orbits = list(dict.fromkeys(least))
-    cap = resolve_max_bits(max_bits)
-    # len(orbits) * 2^n > 2^cap, without forming 2^n: any n and cap work
-    if (len(orbits) - 1).bit_length() + n > cap:
-        raise EnumerationCapExceeded(
-            f"enumerating {len(orbits)} × 2^{n} strings exceeds the cap of "
-            f"{cap} bits"
-        )
     histograms = pattern_weight_classes(orbits, n, max_bits=max_bits)
     entropies = {
         x: tuple(wc.entropy(ms) for ms in measures)
         for x, wc in zip(orbits, histograms)
     }
     return [row + entropies[x] for row, x in zip(rows, least)]
+
+
+def orbit_count(m: int) -> int:
+    """Orbits of length-m strings, m >= 1, under reverse and complement (Burnside):
+    reversal fixes 2^ceil(m/2) strings, reverse complement 2^(m/2) at even m."""
+    return ((1 << m) + (1 << (m + 1) // 2) + (m % 2 == 0) * (1 << m // 2)) // 4
 
 
 def _orbit_least(x: str) -> str:

@@ -6,7 +6,11 @@ import io
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -235,7 +239,10 @@ def test_kappa_sorted_descending(capsys):
 
 def test_kappa_table_obeys_cap(capsys, monkeypatch):
     # the 2^m patterns of `kappa --m` are held to the bit cap before any work
-    assert run_cli(capsys, "kappa", "--m", "4", "--max-bits", "3") == (3, "")
+    assert main(["kappa", "--m", "4", "--max-bits", "3"]) == 3
+    assert capsys.readouterr() == (
+        "", "error: enumerating 2^4 strings exceeds the cap of 3 bits\n"
+    )
     code, out = run_cli(capsys, "kappa", "--m", "4", "--max-bits", "4")
     assert code == 0 and len(parse_csv(out)[1]) == 16
     monkeypatch.setenv("DELSEQ_MAX_BITS", "3")
@@ -267,6 +274,64 @@ def test_sweep_work_obeys_cap(capsys, monkeypatch, argv):
     default = run_cli(capsys, *argv)
     assert default[0] == 0 and called
     assert run_cli(capsys, *argv, "--max-bits", "11") == default
+
+
+def test_engine_refusal_one_bit_each_side(capsys):
+    argv = ["singletons", "--x", "01", "--n", "11", "--max-bits"]
+    assert main([*argv, "10"]) == 3
+    assert capsys.readouterr() == (
+        "", "error: enumerating 2^11 strings exceeds the cap of 10 bits\n"
+    )
+    assert main([*argv, "11"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv,work",
+    [
+        (("kappa", "--m", "22", "--n", "23"), "1049600 × 2^23"),
+        (("entropy-scan", "--n", "22", "--m", "18", "--measures", "shannon"),
+         "65792 × 2^22"),
+    ],
+)
+def test_sweep_refused_before_any_pattern(capsys, monkeypatch, argv, work):
+    # the orbits come from their closed-form count, not from the 2^m patterns
+    from delseq import hws
+
+    def never(*args):
+        raise AssertionError("kappa_squared_block ran before the cap check")
+
+    monkeypatch.setattr(hws, "kappa_squared_block", never)
+    monkeypatch.delenv("DELSEQ_MAX_BITS", raising=False)
+    assert main(list(argv)) == 3
+    assert capsys.readouterr() == (
+        "", f"error: enumerating {work} strings exceeds the cap of 22 bits\n"
+    )
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _spawn(argv, stdout):
+    return subprocess.Popen(
+        [sys.executable, "-m", "delseq.cli", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+
+
+def test_closed_output_pipe_exits_141():
+    # a reader that stops after one line of a 4.8 MB dump
+    proc = _spawn(["posterior", "--x", "0110", "--n", "17"], subprocess.PIPE)
+    assert proc.stdout.readline() == b"y,omega,prob\n"
+    proc.stdout.close()
+    assert (proc.stderr.read(), proc.wait()) == (b"", 141)
+    # a reader that closed the pipe before the command wrote anything
+    read, write = os.pipe()
+    os.close(read)
+    proc = _spawn(["classes", "--x-rle", "1,1", "--deletions", "2"], write)
+    os.close(write)
+    assert (proc.stderr.read(), proc.wait()) == (b"", 141)
 
 
 def test_clusters_methods_agree(capsys):
@@ -339,11 +404,16 @@ def test_classes_print_the_engine_histogram(capsys, x_rle, d):
 def test_deletion_classes_obey_cap(capsys, monkeypatch):
     # m = 10 has mu = 4 C(12, 2) = 264 masks: one bit above 2^8, below 2^9;
     # m = 5 at d = 3 has mu = 8 C(8, 3) = 448 masks, also between them
-    for argv, top in (
-        (("classes", "--x-rle", "10", "--deletions", "2"), ["66", "1"]),
-        (("classes", "--x-rle", "1,1,1,1,1", "--deletions", "3"), ["11", "2"]),
+    for argv, top, work in (
+        (("classes", "--x-rle", "10", "--deletions", "2"), ["66", "1"], "66 × 2^2"),
+        (("classes", "--x-rle", "1,1,1,1,1", "--deletions", "3"), ["11", "2"],
+         "56 × 2^3"),
     ):
-        assert run_cli(capsys, *argv, "--max-bits", "8") == (3, "")
+        assert main([*argv, "--max-bits", "8"]) == 3
+        # mu = 2^d C(m + d, d) is worded as C(m + d, d) × 2^d strings
+        assert capsys.readouterr() == (
+            "", f"error: enumerating {work} strings exceeds the cap of 8 bits\n"
+        )
         code, out = run_cli(capsys, *argv, "--max-bits", "9")
         assert code == 0 and parse_csv(out)[1][0][:2] == top
         monkeypatch.setenv("DELSEQ_MAX_BITS", "8")
@@ -351,6 +421,13 @@ def test_deletion_classes_obey_cap(capsys, monkeypatch):
         monkeypatch.setenv("DELSEQ_MAX_BITS", "9")
         assert run_cli(capsys, *argv)[0] == 0
         monkeypatch.delenv("DELSEQ_MAX_BITS")
+
+
+def test_census_refusal_words_a_huge_count_by_its_size(capsys):
+    # C(40000, 20000) has over 4300 digits, more than str() will print
+    assert main(["classes", "--x-rle", "20000", "--deletions", "20000"]) == 3
+    assert capsys.readouterr() == ("", "error: enumerating at least 2^39992 × "
+                                   "2^20000 strings exceeds the cap of 22 bits\n")
 
 
 def test_classes_accept_any_integer_cap(capsys):
@@ -551,6 +628,9 @@ def test_emit_json_empty_rows_and_params(capsys):
 class _Discard:
     def write(self, text):
         return len(text)
+
+    def flush(self):
+        pass
 
 
 def test_posterior_dump_memory_is_bounded():

@@ -171,6 +171,14 @@ def test_pattern_sweep_holds_orbits_times_strings_to_cap():
         pattern_sweep(3, 10**10, (SHANNON,))
 
 
+def test_orbit_count_matches_the_orbits():
+    from delseq.hws import _orbit_least, orbit_count
+
+    for m in range(1, 17):
+        least = (_orbit_least(format(i, f"0{m}b")) for i in range(1 << m))
+        assert orbit_count(m) == len(dict.fromkeys(least)), m
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="kappa^2 does not order entropy perfectly over all 32 strings at "
