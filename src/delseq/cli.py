@@ -30,7 +30,7 @@ from .clustering import (
     maximal_initials_cluster,
     rho,
 )
-from .core import Rle, check_bits, g_chain, rle_encode
+from .core import Rle, _check_pattern, g_chain, rle_encode
 from .entropy import (
     deletion_classes,
     entropy_estimate_from_moments,
@@ -365,13 +365,6 @@ def parse_rle(text: str) -> Rle:
 
 def format_rle(r: Rle) -> str:
     return f"s={r.first}," + ",".join(str(b) for b in r.runs)
-
-
-def _check_pattern(x: str, n: int) -> None:
-    """Refuse x unless it is a binary string with 1 <= |x| <= n."""
-    check_bits(x)
-    if not 1 <= len(x) <= n:
-        raise ValueError(f"need 1 <= |x| <= n, got |x|={len(x)} n={n}")
 
 
 def cmd_posterior(args) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import _check_nm, binomial, check_bits, run_lengths
+from .core import _check_nm, _check_pattern, binomial, check_bits, run_lengths
 from .embeddings import Mask
 
 
@@ -158,11 +158,7 @@ def count_singletons(n: int, x: str) -> int:
     Closed form C(n-m + rho1 + rho0 - 1, n-m): every singleton arises from
     x by weight-preserving insertions into the available slots.
     """
-    check_bits(x)
-    if not x:
-        raise ValueError("singleton count is undefined for the empty string")
+    _check_pattern(x, n)
     m = len(x)
-    if m > n:
-        raise ValueError(f"need |x| <= n, got |x|={m} n={n}")
     r = rho(x)
     return binomial(n - m + r.total - 1, n - m)

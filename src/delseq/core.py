@@ -5,6 +5,9 @@ Bit strings are plain Python ``str`` objects over the characters ``'0'`` and
 position is exposed (masks, run boundaries), matching the usual convention
 [n] = {1, ..., n}.  All counting is done with Python's arbitrary-precision
 integers; nothing here ever overflows or rounds.
+
+Each argument guard is written once, here: ``check_bits``, ``_check_nm``
+(0 <= m <= n) and ``_check_pattern`` (a binary x with 1 <= |x| <= n).
 """
 from __future__ import annotations
 
@@ -23,6 +26,13 @@ def _check_nm(n: int, m: int) -> None:
     """Refuse lengths outside 0 <= m <= n."""
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got n={n} m={m}")
+
+
+def _check_pattern(x: str, n: int) -> None:
+    """Refuse x unless it is a binary string with 1 <= |x| <= n."""
+    check_bits(x)
+    if not 1 <= len(x) <= n:
+        raise ValueError(f"need 1 <= |x| <= n, got |x|={len(x)} n={n}")
 
 
 def hamming_weight(s: str) -> int:

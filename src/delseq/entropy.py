@@ -99,6 +99,8 @@ def deletion_classes(
     if d < 1:
         raise ValueError(f"deletions must be >= 1, got {d}")
     m = x_rle.length
+    # mu >= 2^d, so d > cap refuses before C(m + d, d) is formed at all
+    check_enumerable(d, max_bits)
     check_enumerable(d, max_bits, count=binomial(m + d, d))
     counts = Counter(Counter(_builds(rle_decode(x_rle), d)).values())
     return _checked(m, d, counts)

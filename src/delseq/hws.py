@@ -13,7 +13,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .core import _check_nm, binomial, check_bits, complement
+from .core import _check_nm, _check_pattern, binomial, check_bits, complement
 from .exhaustive import check_enumerable
 from .superspace import SHANNON, pattern_weight_classes
 
@@ -99,10 +99,8 @@ def omega_variance_asymptotic(n: int, x: str) -> float:
     C(2m-2, m-1), at the alternating strings), and for constant x it reduces
     to kappa^2 itself.
     """
-    check_bits(x)
+    _check_pattern(x, n)
     m = len(x)
-    if not 1 <= m <= n:
-        raise ValueError(f"need 1 <= |x| <= n, got |x|={m} n={n}")
     coefficient = 2 * kappa_squared(x) - kappa_max(m)
     return coefficient * n ** (2 * m - 1) / (2 ** (2 * m) * factorial(2 * m - 1))
 

@@ -212,9 +212,8 @@ def pattern_weight_classes(
     Every argument is checked when the function is called.
     """
     xs = list(xs)
-    for x in xs:
-        check_bits(x)
-        _check_nm(n, len(x))
+    if xs:  # m <= n before the cap; pattern_blocks checks the rest
+        _check_nm(n, len(xs[0]))
     blocks = pattern_blocks(xs, n, max_bits)
     return _histograms(blocks, len(xs[0]), n)
 

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -124,6 +125,20 @@ def test_exit_codes(capsys):
 def test_huge_n_exits_3_before_any_array(capsys, command):
     assert main([command, "--x", "0", "--n", "10000000000"]) == 3
     assert "exceeds the cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["singletons", "clusters"])
+@pytest.mark.parametrize(
+    "x,message",
+    [
+        ("", "need 1 <= |x| <= n, got |x|=0 n=3"),
+        ("0110", "need 1 <= |x| <= n, got |x|=4 n=3"),
+        ("0a1", "not a binary string: '0a1'"),
+    ],
+)
+def test_pattern_guard_exits_2(capsys, command, x, message):
+    assert main([command, "--x", x, "--n", "3"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("token", ["renyi:nan", "renyi:inf", "renyi:-inf"])
@@ -424,10 +439,20 @@ def test_deletion_classes_obey_cap(capsys, monkeypatch):
 
 
 def test_census_refusal_words_a_huge_count_by_its_size(capsys):
-    # C(40000, 20000) has over 4300 digits, more than str() will print
-    assert main(["classes", "--x-rle", "20000", "--deletions", "20000"]) == 3
-    assert capsys.readouterr() == ("", "error: enumerating at least 2^39992 × "
-                                   "2^20000 strings exceeds the cap of 22 bits\n")
+    # C(1000020, 20) is at least 2^64, past which the count is worded by its size
+    assert main(["classes", "--x-rle", "1000000", "--deletions", "20"]) == 3
+    assert capsys.readouterr() == ("", "error: enumerating at least 2^337 × "
+                                   "2^20 strings exceeds the cap of 22 bits\n")
+
+
+def test_census_refuses_deletions_above_the_cap_at_once(capsys):
+    # mu >= 2^d, so d > cap refuses before C(2 000 000, 1 000 000) is formed
+    start = time.perf_counter()
+    assert main(["classes", "--x-rle", "1000000", "--deletions", "1000000"]) == 3
+    assert time.perf_counter() - start < 2
+    assert capsys.readouterr() == (
+        "", "error: enumerating 2^1000000 strings exceeds the cap of 22 bits\n"
+    )
 
 
 def test_classes_accept_any_integer_cap(capsys):

@@ -1,6 +1,7 @@
-"""Run-length encoding, binomials and the run-merging transformation."""
+"""Run-length encoding, binomials, the pattern guard and run merging."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given
@@ -17,7 +18,9 @@ from delseq import (
     rle_decode,
     rle_encode,
 )
-from delseq.core import run_lengths
+from delseq.clustering import count_singletons
+from delseq.core import _check_pattern, run_lengths
+from delseq.hws import omega_variance_asymptotic
 
 bits = st.text(alphabet="01", max_size=16)
 
@@ -84,6 +87,26 @@ def test_complement_only_flips_first_symbol(s):
     assert r.runs == rc.runs
     if s:
         assert rc.first == r.first ^ 1
+
+
+@pytest.mark.parametrize(
+    "guarded",
+    [
+        _check_pattern,
+        lambda x, n: count_singletons(n, x),
+        lambda x, n: omega_variance_asymptotic(n, x),
+    ],
+)
+def test_pattern_guard(guarded):
+    n = 4
+    for x in ("1", "0110"):  # |x| = 1 and |x| = n
+        guarded(x, n)
+    for x in ("", "01101"):  # |x| = 0 and |x| = n + 1
+        message = f"need 1 <= |x| <= n, got |x|={len(x)} n={n}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            guarded(x, n)
+    with pytest.raises(ValueError, match="^not a binary string: '012'$"):
+        guarded("012", n)
 
 
 def test_hamming_weight():

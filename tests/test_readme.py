@@ -1,9 +1,12 @@
-"""The library example in README.md runs as written."""
+"""The library example and the quoted refusals in README.md hold as written."""
 
 import doctest
 import io
 import re
+import shlex
 from pathlib import Path
+
+from delseq.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -15,3 +18,15 @@ def test_readme_library_example():
     result = doctest.DocTestRunner().run(example, out=report.write)
     assert result.attempted > 0
     assert result.failed == 0, report.getvalue()
+
+
+def test_readme_refusals_are_the_cli_messages(capsys, monkeypatch):
+    monkeypatch.delenv("DELSEQ_MAX_BITS", raising=False)
+    # markdown joins a code span's lines with a space
+    text = " ".join(README.read_text().split())
+    quoted = re.findall(r"`([^`]*exceeds the cap[^`]*)`", text)
+    pairs = re.findall(r"`([^`]+)` refuses [a-z ]*with `([^`]+)`", text)
+    assert len(quoted) >= 3 and [message for _, message in pairs] == quoted
+    for command, message in pairs:
+        assert main(shlex.split(command)) == 3, command
+        assert capsys.readouterr() == ("", f"error: {message}\n")
