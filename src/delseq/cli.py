@@ -43,8 +43,8 @@ from .exhaustive import (
     hamming_weight_counts,
     pattern_blocks,
 )
-from .hws import kappa_entropy_table, pattern_sweep, sorted_by_kappa
-from .superspace import WeightClasses, parse_measure, weight_classes
+from .hws import pattern_sweep, sorted_by_kappa
+from .superspace import SHANNON, WeightClasses, parse_measure, weight_classes
 from .verify import run_all, suite_names
 
 
@@ -90,16 +90,17 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"enumeration cap in bits (default 22; env {MAX_BITS_ENV})",
     )
+    pattern = argparse.ArgumentParser(add_help=False, parents=[common])
+    pattern.add_argument("--x", required=True, help="received string, e.g. 110")
+    pattern.add_argument("--n", required=True, type=int, help="supersequence length")
 
     p = sub.add_parser(
         "posterior",
-        parents=[common],
+        parents=[pattern],
         help="weights and probabilities over the uncertainty set",
         description="One row per supersequence y, sorted by y as a binary "
         "number, plus a trailing row ('total', mu, |Y|).",
     )
-    p.add_argument("--x", required=True, help="received string, e.g. 110")
-    p.add_argument("--n", required=True, type=int, help="supersequence length")
     p.set_defaults(run=cmd_posterior)
 
     p = sub.add_parser(
@@ -130,20 +131,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "clusters",
-        parents=[common],
+        parents=[pattern],
         help="per-cluster sizes by closed form, recurrence and brute force",
     )
-    p.add_argument("--x", required=True)
-    p.add_argument("--n", required=True, type=int)
     p.set_defaults(run=cmd_clusters)
 
     p = sub.add_parser(
         "singletons",
-        parents=[common],
+        parents=[pattern],
         help="singleton count by insertion-slot formula and brute force",
     )
-    p.add_argument("--x", required=True)
-    p.add_argument("--n", required=True, type=int)
     p.set_defaults(run=cmd_singletons)
 
     p = sub.add_parser(
@@ -164,21 +161,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "gchain",
-        parents=[common],
+        parents=[pattern],
         help="entropy along the run-merging chain down to the constant string",
     )
-    p.add_argument("--x", required=True)
-    p.add_argument("--n", required=True, type=int)
     p.add_argument("--measure", default="shannon")
     p.set_defaults(run=cmd_gchain)
 
     p = sub.add_parser(
         "estimate",
-        parents=[common],
+        parents=[pattern],
         help="moment-based entropy estimate with its error bound",
     )
-    p.add_argument("--x", required=True)
-    p.add_argument("--n", required=True, type=int)
     p.set_defaults(run=cmd_estimate)
 
     p = sub.add_parser(
@@ -393,13 +386,10 @@ def cmd_entropy_scan(args) -> int:
 
 
 def cmd_kappa(args) -> int:
-    if args.n is not None:
-        rows = kappa_entropy_table(args.n, args.m, max_bits=args.max_bits)
-        columns = ["x", "kappa2", "shannon"]
-    else:
-        rows = sorted_by_kappa(pattern_sweep(args.m, max_bits=args.max_bits))
-        columns = ["x", "kappa2"]
-    emit(args, "kappa", {"m": args.m, "n": args.n}, columns, rows)
+    measures = [SHANNON] if args.n is not None else []
+    rows = pattern_sweep(args.m, args.n, measures, max_bits=args.max_bits)
+    columns = ["x", "kappa2"] + [str(ms) for ms in measures]
+    emit(args, "kappa", {"m": args.m, "n": args.n}, columns, sorted_by_kappa(rows))
     return 0
 
 

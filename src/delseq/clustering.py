@@ -10,7 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import _check_nm, _check_pattern, binomial, check_bits, run_lengths
+from .core import (
+    _check_length,
+    _check_nm,
+    _check_pattern,
+    binomial,
+    check_bits,
+    run_lengths,
+)
 from .embeddings import Mask
 
 
@@ -39,8 +46,7 @@ def is_maximal_initial(x: str, y: str) -> bool:
 
 def maximal_initials_total(n: int, m: int) -> int:
     """Number of supersequences whose canonical embedding is maximal: C(n-1, m-1)."""
-    if not 1 <= m <= n:
-        raise ValueError(f"need 1 <= m <= n, got n={n} m={m}")
+    _check_length(m, n)
     return binomial(n - 1, m - 1)
 
 
@@ -51,9 +57,8 @@ def maximal_initials_cluster(n: int, m: int, hx: int, c: int) -> int:
     and the surplus ones among the zeros of x, holding the final position
     fixed.
     """
+    _check_length(m, n)
     _check_cluster_args(n, m, hx, c)
-    if m == 0:
-        raise ValueError("maximal initials are defined for nonempty x")
     p = n - m - c
     return binomial(p + hx - 1, p) * binomial(c + (m - hx) - 1, c)
 
@@ -140,9 +145,7 @@ def rho(x: str) -> RhoProfile:
     exactly one end its length; an interior run its length - 1.  So every
     run gives its length - 1, and each end of x one more to its symbol.
     """
-    check_bits(x)
-    if not x:
-        raise ValueError("rho is undefined for the empty string")
+    _check_pattern(x, len(x))
     first = int(x[0])
     slots = [0, 0]
     for i, length in enumerate(run_lengths(x)):

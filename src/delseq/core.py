@@ -6,8 +6,12 @@ position is exposed (masks, run boundaries), matching the usual convention
 [n] = {1, ..., n}.  All counting is done with Python's arbitrary-precision
 integers; nothing here ever overflows or rounds.
 
-Each argument guard is written once, here: ``check_bits``, ``_check_nm``
-(0 <= m <= n) and ``_check_pattern`` (a binary x with 1 <= |x| <= n).
+Every guard on a bit string or on the lengths m and n is written once,
+here: ``check_bits``, ``_check_nm`` (0 <= m <= n), ``_check_length`` (a
+pattern length 1 <= m, and m <= n when there is an n) and ``_check_pattern``
+(a binary x with 1 <= |x| <= n).  The other modules call them and restate
+none; only the censuses, which take a run-length encoding, refuse an empty
+one themselves.
 """
 from __future__ import annotations
 
@@ -28,11 +32,19 @@ def _check_nm(n: int, m: int) -> None:
         raise ValueError(f"need 0 <= m <= n, got n={n} m={m}")
 
 
+def _check_length(m: int, n: int | None = None, name: str = "m") -> None:
+    """Refuse a pattern length m unless 1 <= m, and m <= n when n is given."""
+    if n is None:
+        if m < 1:
+            raise ValueError(f"need {name} >= 1, got {name}={m}")
+    elif not 1 <= m <= n:
+        raise ValueError(f"need 1 <= {name} <= n, got {name}={m} n={n}")
+
+
 def _check_pattern(x: str, n: int) -> None:
     """Refuse x unless it is a binary string with 1 <= |x| <= n."""
     check_bits(x)
-    if not 1 <= len(x) <= n:
-        raise ValueError(f"need 1 <= |x| <= n, got |x|={len(x)} n={n}")
+    _check_length(len(x), n, "|x|")
 
 
 def hamming_weight(s: str) -> int:

@@ -27,8 +27,9 @@ one 2^n array.
 Every table entry, term and partial sum is a nonnegative integer no larger
 than omega_x(y) <= C(n, m), and every such integer is exact in float64 while
 C(n, m) < 2^53 (every m at every n <= 56); ``pattern_blocks`` checks that
-bound before allocating anything.  Callers convert to Python ints at the
-boundary.
+bound, and that building the tables fits in physical memory
+(``check_table_memory``), before allocating anything.  Callers convert to
+Python ints at the boundary.
 
 ``check_enumerable`` is the one check of work against a size cap (default 22
 bits), for the engine, the pattern sweeps and the census, before any work
@@ -114,18 +115,46 @@ def _suffix_counts(masks: np.ndarray, k: int) -> np.ndarray:
 
     Built in the layout the product reads, C-contiguous with v last: prepending
     bit b to v (column b * 2^j + v) adds omega_{x[i+1:]}(v) to row i wherever
-    x[i] = b.
+    x[i] = b.  The add is made in place, so a doubling step holds s and its
+    successor and nothing more.
     """
     stack, _, m = masks.shape
     s = np.zeros((stack, m + 1, 1))
     s[:, -1, 0] = 1
-    by_position = masks.transpose(0, 2, 1)[:, :, :, None]
+    by_position = masks.transpose(0, 2, 1)[:, :, :, None] == 1
     for _ in range(k):
         q = np.empty((stack, m + 1, 2, s.shape[2]))
         q[:] = s[:, :, None]
-        q[:, :-1] += s[:, 1:, None] * by_position
+        np.add(q[:, :-1], s[:, 1:, None], out=q[:, :-1], where=by_position)
         s = q.reshape(stack, m + 1, -1)
     return s
+
+
+def physical_memory() -> int | None:
+    """Bytes of physical memory, or None where ``os.sysconf`` cannot tell."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def check_table_memory(n: int, m: int, stack: int) -> None:
+    """Refuse the tables of ``stack`` patterns when they need more than the RAM.
+
+    Building them peaks at the prefix table plus the suffix table's last
+    doubling step, its 2^(ceil(n/2) - 1) columns and their 2^ceil(n/2)
+    successors, every one of stack × (m + 1) float64 entries.  The cap
+    cannot stand in for this: at 70 bits it admits (n, m) = (60, 2), whose
+    finished tables take 51.5 GB.  Where the RAM is unknown, nothing is
+    refused.
+    """
+    memory = physical_memory()
+    peak = 8 * stack * (m + 1) * ((1 << n // 2) + ((3 << (n - n // 2)) >> 1))
+    if memory is not None and peak > memory:
+        raise EnumerationCapExceeded(
+            f"the tables of n={n}, m={m} need {peak} bytes, "
+            f"more than the {memory} bytes of physical memory"
+        )
 
 
 STRING_BLOCK = 1 << 16  # strings per block of the product
@@ -170,6 +199,7 @@ def pattern_blocks(
     check_enumerable(n, max_bits)
     check_float64_exact(n, len(xs[0]))
     stack = patterns_per_block(n)
+    check_table_memory(n, len(xs[0]), len(xs[:stack]))
     return _products(xs, n, stack, _tables(xs[:stack], n))
 
 

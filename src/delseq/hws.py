@@ -13,7 +13,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .core import _check_nm, _check_pattern, binomial, check_bits, complement
+from .core import _check_length, _check_nm, _check_pattern, binomial, complement
 from .exhaustive import check_enumerable
 from .superspace import SHANNON, pattern_weight_classes
 
@@ -37,9 +37,7 @@ def interleaving_matrix(m: int) -> tuple[tuple[int, ...], ...]:
 
 def kappa_squared(x: str) -> int:
     """Autocorrelation of x: interleaving_matrix(|x|) summed over x_r = x_s."""
-    check_bits(x)
-    if not x:
-        raise ValueError("x must be nonempty")
+    _check_pattern(x, len(x))
     return sum(
         v
         for xr, row in zip(x, interleaving_matrix(len(x)))
@@ -76,8 +74,7 @@ def kappa_squared_block(m: int, lo: int, hi: int) -> list[int]:
 
 def kappa_max(m: int) -> int:
     """Maximal autocorrelation over length m: m * C(2m-1, m), by the constants."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _check_length(m)
     return m * binomial(2 * m - 1, m)
 
 
@@ -121,10 +118,7 @@ def pattern_sweep(
     enumerated and the rows are (x, kappa^2(x)).  The 2^m patterns, and with
     n the ``orbit_count(m)`` × 2^n strings, meet the cap before any work.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if n is not None and m > n:
-        raise ValueError(f"need 1 <= m <= n, got n={n} m={m}")
+    _check_length(m, n)
     check_enumerable(m, max_bits)
     if n is not None:
         check_enumerable(n, max_bits, count=orbit_count(m))

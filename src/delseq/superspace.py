@@ -246,9 +246,7 @@ def _histograms(blocks, m: int, n: int) -> Iterator[WeightClasses]:
 
 def count_distinct_subsequences(y: str, m: int) -> int:
     """Number of distinct length-m strings embeddable in y."""
-    check_bits(y)
-    if not 0 <= m <= len(y):
-        raise ValueError(f"need 0 <= m <= |y|, got m={m}, |y|={len(y)}")
+    _check_nm(len(y), m)
     return distinct_subsequence_profile(y)[m]
 
 
@@ -278,6 +276,5 @@ def expected_distinct_subsequences(n: int, t: int) -> float:
 
     Closed form sum_{i=0..t} C(n-t-1+i, i) / 2^i for the binary alphabet.
     """
-    if not 0 <= t <= n:
-        raise ValueError(f"need 0 <= t <= n, got t={t} n={n}")
+    _check_nm(n, t)
     return math.fsum(binomial(n - t - 1 + i, i) * 0.5**i for i in range(t + 1))

@@ -141,6 +141,36 @@ def test_pattern_guard_exits_2(capsys, command, x, message):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["kappa", "--m", "0"], "need m >= 1, got m=0"),
+        (["kappa", "--m", "3", "--n", "2"], "need 1 <= m <= n, got m=3 n=2"),
+    ],
+)
+def test_kappa_length_guard_exits_2(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "command", ["posterior", "clusters", "singletons", "gchain", "estimate"]
+)
+def test_pattern_commands_require_x_and_n(capsys, command):
+    for given, missing in ((["--x", "01"], "--n"), (["--n", "4"], "--x")):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *given])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"the following arguments are required: {missing}\n"
+        )
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out
+    assert "--x X" in usage and "--n N" in usage
+
+
 @pytest.mark.parametrize("token", ["renyi:nan", "renyi:inf", "renyi:-inf"])
 def test_non_finite_renyi_order_rejected(capsys, token):
     for argv in (
@@ -190,6 +220,18 @@ def test_posterior_table_allocation_failure_prints_nothing(capsys, monkeypatch, 
         assert main(["posterior", "--x", "1", "--n", "3", "--format", fmt]) == 3
         assert capsys.readouterr() == (
             "", "error: Unable to allocate 8.00 TiB for an array\n"
+        )
+
+
+def test_tables_beyond_physical_memory_exit_3(capsys, monkeypatch):
+    # the tables of (n, m) = (20, 4) peak at 8 · 5 · (2^10 + 3 · 2^9) bytes
+    monkeypatch.setattr(exhaustive, "physical_memory", lambda: 102399)
+    for fmt in ("csv", "json"):
+        assert main(["posterior", "--x", "0110", "--n", "20", "--format", fmt]) == 3
+        assert capsys.readouterr() == (
+            "",
+            "error: the tables of n=20, m=4 need 102400 bytes, "
+            "more than the 102399 bytes of physical memory\n",
         )
 
 

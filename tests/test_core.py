@@ -1,4 +1,4 @@
-"""Run-length encoding, binomials, the pattern guard and run merging."""
+"""Run-length encoding, binomials, the length and pattern guards and run merging."""
 
 import itertools
 import re
@@ -18,9 +18,23 @@ from delseq import (
     rle_decode,
     rle_encode,
 )
-from delseq.clustering import count_singletons
+from delseq.clustering import (
+    count_singletons,
+    maximal_initials_cluster,
+    maximal_initials_total,
+    rho,
+)
 from delseq.core import _check_pattern, run_lengths
-from delseq.hws import omega_variance_asymptotic
+from delseq.hws import (
+    kappa_max,
+    kappa_squared,
+    omega_variance_asymptotic,
+    pattern_sweep,
+)
+from delseq.superspace import (
+    count_distinct_subsequences,
+    expected_distinct_subsequences,
+)
 
 bits = st.text(alphabet="01", max_size=16)
 
@@ -107,6 +121,58 @@ def test_pattern_guard(guarded):
             guarded(x, n)
     with pytest.raises(ValueError, match="^not a binary string: '012'$"):
         guarded("012", n)
+
+
+@pytest.mark.parametrize(
+    "guarded",
+    [
+        lambda m, n: pattern_sweep(m, n),
+        lambda m, n: maximal_initials_total(n, m),
+        lambda m, n: maximal_initials_cluster(n, m, 0, 0),
+    ],
+)
+def test_length_guard(guarded):
+    n = 4
+    for m in (1, n):
+        guarded(m, n)
+    for m in (0, n + 1):
+        message = f"need 1 <= m <= n, got m={m} n={n}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            guarded(m, n)
+
+
+@pytest.mark.parametrize("guarded", [kappa_max, pattern_sweep])
+def test_length_guard_without_n(guarded):
+    guarded(1)
+    for m in (0, -1):
+        with pytest.raises(ValueError, match=f"^need m >= 1, got m={m}$"):
+            guarded(m)
+
+
+@pytest.mark.parametrize("guarded", [kappa_squared, rho])
+def test_nonempty_pattern_guard(guarded):
+    guarded("0")
+    with pytest.raises(ValueError, match=r"^need 1 <= \|x\| <= n, got \|x\|=0 n=0$"):
+        guarded("")
+    with pytest.raises(ValueError, match="^not a binary string: '012'$"):
+        guarded("012")
+
+
+@pytest.mark.parametrize(
+    "guarded",
+    [
+        lambda n, m: count_distinct_subsequences("01" * (n // 2), m),
+        expected_distinct_subsequences,
+    ],
+)
+def test_nm_guard(guarded):
+    n = 4
+    for m in (0, n):
+        guarded(n, m)
+    for m in (-1, n + 1):
+        message = f"need 0 <= m <= n, got n={n} m={m}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            guarded(n, m)
 
 
 def test_hamming_weight():

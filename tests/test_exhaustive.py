@@ -12,6 +12,7 @@ from delseq import (
     binomial,
     canonical_embedding,
     count_embeddings_dp,
+    exhaustive,
 )
 from delseq.exhaustive import (
     STRING_BLOCK,
@@ -93,6 +94,49 @@ def test_float64_exactness_guard():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def _table_peak(n, m, stack=1):
+    """Bytes of the prefix table plus the suffix table's last doubling step."""
+    return 8 * stack * (m + 1) * (2 ** (n // 2) + 3 * 2 ** (n - n // 2) // 2)
+
+
+@pytest.mark.parametrize("xs,n", [(["0110"], 20), (["011"], 21), (["010"] * 10, 8)])
+def test_tables_refused_above_physical_memory(monkeypatch, xs, n):
+    # the reading is pinned: the real one is never compared with a real build
+    peak = _table_peak(n, len(xs[0]), len(xs))
+    monkeypatch.setattr(exhaustive, "physical_memory", lambda: peak - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationCapExceeded, match=f"need {peak} bytes"):
+            pattern_blocks(xs, n)
+        allocated = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert allocated < 1 << 20
+    monkeypatch.setattr(exhaustive, "physical_memory", lambda: peak)
+    assert _strings_in(pattern_blocks(xs, n)) == (
+        len(xs) << n,
+        len(xs) * binomial(n, len(xs[0])) << (n - len(xs[0])),
+    )
+
+
+def test_tables_unchecked_where_memory_is_unknown(monkeypatch):
+    monkeypatch.setattr(exhaustive, "physical_memory", lambda: None)
+    assert _strings_in(pattern_blocks(["01"], 6)) == (64, 15 << 4)
+
+
+@pytest.mark.parametrize("x,n", [("0110", 28), ("01", 31)])
+def test_table_peak_is_the_build_peak(x, n):
+    # past numpy's fixed buffers the traced peak of a build is the stated peak
+    tracemalloc.start()
+    try:
+        tables = _tables([x], n)
+        allocated = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    del tables
+    assert 0 <= allocated - _table_peak(n, len(x)) < 1 << 16
 
 
 def test_pattern_blocks_rejects_negative_length():

@@ -1,4 +1,5 @@
-"""The library example and the quoted refusals in README.md hold as written."""
+"""The library example, the shell examples and the quoted refusals in README.md
+hold as written."""
 
 import doctest
 import io
@@ -30,3 +31,18 @@ def test_readme_refusals_are_the_cli_messages(capsys, monkeypatch):
     for command, message in pairs:
         assert main(shlex.split(command)) == 3, command
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_readme_commands_run(capsys, monkeypatch):
+    monkeypatch.delenv("DELSEQ_MAX_BITS", raising=False)
+    blocks = re.findall(r"^```sh\n(.*?)^```$", README.read_text(), re.M | re.S)
+    commands = [
+        shlex.split(line, comments=True)[1:]
+        for block in blocks
+        for line in block.splitlines()
+        if line.startswith("delseq ")
+    ]
+    assert len(commands) >= 10
+    for argv in commands:
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().out, argv
