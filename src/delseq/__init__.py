@@ -8,7 +8,7 @@ from .clustering import (
     RhoProfile,
     canonical_embedding,
     cluster_size_closed,
-    cluster_size_recurrence,
+    cluster_table,
     count_singletons,
     is_maximal_initial,
     maximal_initials_cluster,

@@ -23,13 +23,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .clustering import (
-    cluster_size_closed,
-    cluster_size_recurrence,
-    count_singletons,
-    maximal_initials_cluster,
-    rho,
-)
+from .clustering import cluster_table, count_singletons, rho
 from .core import Rle, _check_pattern, g_chain, rle_encode
 from .entropy import (
     deletion_classes,
@@ -286,9 +280,9 @@ def posterior_rows(blocks, n: int, wc: WeightClasses, layout: Layout):
     for one pattern.  A row is one fixed-width record: the lead and digits of
     y's prefix row, the digits of its suffix column, and the text after y,
     which is formatted once for each class of ``wc`` (the blocks' own
-    histogram) and picked by the weight's rank among the classes.  All three
-    tables and the records are built once per dump; a block adds only its
-    support, offset by its first row.  Rows come in slices of
+    histogram) and picked by the weight itself.  All three tables and the
+    records are built once per dump; a block adds only its support, offset
+    by its first row.  Rows come in slices of
     RENDER_BLOCK_ROWS, each followed by ``layout.sep``.  A slice's records are
     decoded straight from their buffer as UTF-8 with errors ignored: every
     rendered byte is ASCII and the records' padding byte 0xFF never occurs in
@@ -305,12 +299,13 @@ def posterior_rows(blocks, n: int, wc: WeightClasses, layout: Layout):
     values = [w for w, _ in wc.classes]  # heaviest first
     mu = wc.mu
     # Python ints, so w / mu is the same float as for every other caller
-    tails = _records(
+    texts = _records(
         [f"{to_omega}{w}{to_prob}{w / mu!r}{end}".encode() for w in values]
     )
-    # rank_of[w] is the rank of weight w; at most C(n, m) + 1 entries
-    rank_of = np.zeros(values[0] + 1, dtype=np.intp)
-    rank_of[values] = np.arange(len(values))
+    # tails[w] is the record of weight w, at most C(n, m) + 1 of them; those
+    # of weights no class has are left unset, and never gathered
+    tails = np.empty(values[0] + 1, texts.dtype)
+    tails[values] = texts
     records = np.empty(
         min(wc.string_count(), RENDER_BLOCK_ROWS),
         [("prefix", prefixes.dtype), ("suffix", suffixes.dtype),
@@ -319,14 +314,14 @@ def posterior_rows(blocks, n: int, wc: WeightClasses, layout: Layout):
     for _, start, (block,) in blocks:
         weights = block.ravel()
         (support,) = np.nonzero(weights)
-        rank = rank_of[weights[support].astype(np.intp)]
+        weight = weights[support].astype(np.intp)
         support += start << shift  # y itself
         for s in range(0, len(support), RENDER_BLOCK_ROWS):
             y = support[s : s + RENDER_BLOCK_ROWS]
             text = records[: len(y)]
             text["prefix"] = prefixes[y >> shift]
             text["suffix"] = suffixes[y & ((1 << shift) - 1)]
-            text["tail"] = tails[rank[s : s + RENDER_BLOCK_ROWS]]
+            text["tail"] = tails[weight[s : s + RENDER_BLOCK_ROWS]]
             yield utf_8_decode(text.view(np.uint8), "ignore", True)[0]
 
 
@@ -396,7 +391,6 @@ def cmd_kappa(args) -> int:
 def cmd_clusters(args) -> int:
     x, n = args.x, args.n
     _check_pattern(x, n)
-    m = len(x)
     hx = x.count("1")
     # checks n before any array
     blocks = pattern_blocks([x], n, max_bits=args.max_bits)
@@ -404,17 +398,10 @@ def cmd_clusters(args) -> int:
     support = np.zeros(n + 1, dtype=np.int64)
     for _, start, (block,) in blocks:
         support += hamming_weight_counts(block > 0, start, n)
-    rows = []
-    for c in range(n - m + 1):
-        rows.append(
-            [
-                c,
-                cluster_size_closed(n, m, hx, c),
-                cluster_size_recurrence(n, x, c),
-                int(support[hx + c]),
-                maximal_initials_cluster(n, m, hx, c),
-            ]
-        )
+    rows = [
+        [c, closed, recurrence, int(support[hx + c]), maximal]
+        for c, (closed, recurrence, maximal) in enumerate(cluster_table(n, x))
+    ]
     emit(
         args,
         "clusters",

@@ -2,13 +2,14 @@
 
 Cluster c of the uncertainty set holds the supersequences with exactly c
 ones more than x.  Its size depends only on (n, m, h(x), c) and is computed
-here three ways: a closed-form sum, a recurrence on the head of x, and (in
-the test suite) a brute-force census.
+three ways: a closed-form sum, a recurrence on the head of x, and a
+brute-force census of the engine's support (in ``verify`` and the
+``clusters`` command).  ``cluster_table(n, x)`` gives the first two, with the
+maximal-initial count, for every cluster of one (n, x).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .core import (
     _check_length,
@@ -18,10 +19,9 @@ from .core import (
     check_bits,
     run_lengths,
 )
-from .embeddings import Mask
 
 
-def canonical_embedding(x: str, y: str) -> Mask | None:
+def canonical_embedding(x: str, y: str) -> tuple[int, ...] | None:
     """The lexicographically first mask of x in y, or None if there is none.
 
     Greedy left-to-right matching yields exactly the lexicographic minimum.
@@ -79,27 +79,23 @@ def cluster_size_closed(n: int, m: int, hx: int, c: int) -> int:
     )
 
 
-def cluster_size_recurrence(n: int, x: str, c: int) -> int:
-    """Size of cluster c computed by recursing on the first bit of y.
+def cluster_table(n: int, x: str) -> list[tuple[int, int, int]]:
+    """(closed-form size, recurrence size, maximal initials) of each cluster c.
 
-    Matching a leading 0 of x consumes it without changing c; a leading
-    surplus symbol consumes c only when x starts with 0 (the surplus bit is
-    then a one).  Out-of-range arguments (c < 0 or c + |x| > n) yield 0, as
-    in the recursion's own base cases.  The states (n, i, c) visited are
-    memoized for the latest x, so the clusters of one (n, x) share them.
+    Row c is cluster c = 0..n-|x| of x.  The recurrence recurses on the
+    first bit of y: matching a leading 0 of x consumes it without changing
+    c; a leading surplus symbol consumes c only when x starts with 0 (the
+    surplus bit is then a one).  The states (n, i, c) it visits are memoized
+    for this call, so the clusters of one (n, x) share them.
     """
-    check_bits(x)
-    return _cluster_size_memo(x)(n, 0, c)
-
-
-@lru_cache(maxsize=1)
-def _cluster_size_memo(x: str):
+    _check_pattern(x, n)
+    m, hx = len(x), x.count("1")
     memo: dict[tuple[int, int, int], int] = {}
 
     def size(n: int, i: int, c: int) -> int:
         if c < 0:
             return 0
-        rest = len(x) - i
+        rest = m - i
         if c + rest > n:
             return 0
         if rest == 0:
@@ -115,7 +111,14 @@ def _cluster_size_memo(x: str):
         memo[key] = result
         return result
 
-    return size
+    return [
+        (
+            cluster_size_closed(n, m, hx, c),
+            size(n, 0, c),
+            maximal_initials_cluster(n, m, hx, c),
+        )
+        for c in range(n - m + 1)
+    ]
 
 
 def _check_cluster_args(n: int, m: int, hx: int, c: int) -> None:

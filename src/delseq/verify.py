@@ -268,12 +268,9 @@ def _weight_vector_suites(max_n: int) -> tuple[SuiteResult, ...]:
                         )
                     maximal = canonical_ends_last(x, present.ravel())
                     hx = x.count("1")
+                    table = clustering.cluster_table(n, x)
                     census.check(
-                        sum(
-                            clustering.cluster_size_closed(n, m, hx, c)
-                            for c in range(n - m + 1)
-                        )
-                        == card,
+                        sum(closed for closed, _, _ in table) == card,
                         f"cluster sizes do not sum to |Y| x={x!r} n={n}",
                     )
                     in_support = hamming_weight_counts(present, 0, n)
@@ -281,18 +278,15 @@ def _weight_vector_suites(max_n: int) -> tuple[SuiteResult, ...]:
                         maximal.reshape(present.shape), 0, n
                     )
                     total_max = 0
-                    for c in range(n - m + 1):
+                    for c, (closed, rec, initials) in enumerate(table):
                         brute = int(in_support[hx + c])
-                        closed = clustering.cluster_size_closed(n, m, hx, c)
-                        rec = clustering.cluster_size_recurrence(n, x, c)
                         census.check(
                             brute == closed == rec,
                             f"cluster size mismatch x={x!r} n={n} c={c}",
                         )
                         brute_max = int(in_maximal[hx + c])
                         census.check(
-                            brute_max
-                            == clustering.maximal_initials_cluster(n, m, hx, c),
+                            brute_max == initials,
                             f"maximal initials mismatch x={x!r} n={n} c={c}",
                         )
                         total_max += brute_max

@@ -8,7 +8,7 @@ from delseq import (
     RhoProfile,
     canonical_embedding,
     cluster_size_closed,
-    cluster_size_recurrence,
+    cluster_table,
     count_singletons,
     enumerate_masks,
     is_maximal_initial,
@@ -100,10 +100,11 @@ def test_cluster_size_closed_examples():
 
 
 def test_cluster_size_recurrence_base_cases():
-    assert cluster_size_recurrence(6, "", 2) == 15  # C(6,2)
-    assert cluster_size_recurrence(3, "0110", 0) == 0  # c + |x| > n
+    # rows are (closed form, recurrence, maximal initials) for c = 0..n-|x|
+    assert cluster_table(4, "0110") == [(1, 1, 1)]  # |x| = n: y = x
+    assert cluster_table(3, "1") == [(3, 3, 1), (3, 3, 0), (1, 1, 0)]
     # leading zero of x pins the first bit of y when c = 0
-    assert cluster_size_recurrence(7, "011", 0) == cluster_size_recurrence(6, "11", 0)
+    assert cluster_table(7, "011")[0][1] == cluster_table(6, "11")[0][1] == 15
 
 
 def test_cluster_sizes_sum_to_cardinality():

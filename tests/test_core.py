@@ -19,6 +19,7 @@ from delseq import (
     rle_encode,
 )
 from delseq.clustering import (
+    cluster_table,
     count_singletons,
     maximal_initials_cluster,
     maximal_initials_total,
@@ -109,6 +110,7 @@ def test_complement_only_flips_first_symbol(s):
         _check_pattern,
         lambda x, n: count_singletons(n, x),
         lambda x, n: omega_variance_asymptotic(n, x),
+        lambda x, n: cluster_table(n, x),
     ],
 )
 def test_pattern_guard(guarded):
