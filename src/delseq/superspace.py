@@ -4,12 +4,11 @@ For a received string x of length m, the uncertainty set contains every
 length-n string y that can project onto x; the posterior over it weights
 each y by its embedding count omega_x(y), normalized by
 mu = C(n,m) * 2^(n-m).  Every entropy is a function of the histogram of
-those weights (``WeightClasses``); ``pattern_weight_classes`` counts the
-engine's blocks into one table per stack of patterns, a row per pattern
-indexed by weight, which gives the histograms of a whole list of patterns of one length, and
-``weight_classes`` is its list of one.  The one result with a row per y,
-the CLI's posterior dump, renders the engine's blocks against the classes
-of ``weight_classes``.
+those weights (``WeightClasses``).  ``pattern_weight_classes`` gives the
+histograms of a list of patterns of one length: it counts each engine block
+into a table with a row per pattern, indexed by weight.  ``weight_classes``
+is its list of one.  The one result with a row per y, the CLI's posterior
+dump, renders the engine's blocks against the classes of ``weight_classes``.
 """
 from __future__ import annotations
 

@@ -6,15 +6,14 @@ which failed.  Randomized suites draw from a seeded generator so repeated
 invocations are byte-identical.  Two checks are observations of empirical
 claims (the kappa-entropy ordering off the reference rows, and the
 kappa-minimization conjecture); their outcomes are reported as notes rather
-than failures.  Four suites share one engine sweep per (n, m) over every x of
-length m, and every suite reads the cap from DELSEQ_MAX_BITS only.
+than failures.  Five suites share one engine sweep per (n, m) over every x of
+length m, made once per run, and every suite reads the cap from
+DELSEQ_MAX_BITS alone, afresh on every call.
 """
 from __future__ import annotations
 
-import copy
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -205,37 +204,27 @@ def suite_embeddings_partition(max_n: int, rng: random.Random) -> SuiteResult:
     return r
 
 
-def suite_posterior_laws(max_n: int, rng: random.Random) -> SuiteResult:
-    return copy.deepcopy(_weight_vector_suites(max_n)[0])
+WEIGHT_VECTOR_SUITES = (
+    "posterior-laws",
+    "cluster-census",
+    "singleton-extremization",
+    "entropy-invariance",
+    "entropy-extremization",
+)
 
 
-def suite_cluster_census(max_n: int, rng: random.Random) -> SuiteResult:
-    return copy.deepcopy(_weight_vector_suites(max_n)[1])
+def suite_weight_vectors(max_n: int, rng: random.Random) -> list[SuiteResult]:
+    """The five WEIGHT_VECTOR_SUITES, from one pass over the weight vectors.
 
-
-def suite_entropy_invariance(max_n: int, rng: random.Random) -> SuiteResult:
-    return copy.deepcopy(_weight_vector_suites(max_n)[2])
-
-
-def suite_entropy_extremization(max_n: int, rng: random.Random) -> SuiteResult:
-    return copy.deepcopy(_weight_vector_suites(max_n)[3])
-
-
-@lru_cache(maxsize=1)
-def _weight_vector_suites(max_n: int) -> tuple[SuiteResult, ...]:
-    """posterior-laws, cluster-census and both entropy suites in one pass.
-
-    The four suites read the same weight vectors, so each is computed once
-    per (x, n <= 12), taken from the engine's blocks of all x of one length
-    at once; each suite's checks run in their own order, and each caller
-    gets its own copy of the result.  The entropies are numpy reductions of
-    each plane normalized by its own total, an oracle independent of
+    Each weight vector is computed once per (x, n <= 12), taken from the
+    engine's blocks of all x of one length at once, and each suite's checks
+    run in their own order.  The entropies are numpy reductions of each plane
+    normalized by its own total, an oracle independent of
     ``WeightClasses.entropy``.
     """
-    laws = SuiteResult("posterior-laws")
-    census = SuiteResult("cluster-census")
-    invariance = SuiteResult("entropy-invariance")
-    extremes = SuiteResult("entropy-extremization")
+    laws, census, singletons, invariance, extremes = (
+        SuiteResult(name) for name in WEIGHT_VECTOR_SUITES
+    )
     for n in range(1, min(max_n, 12) + 1):
         # 2^n < STRING_BLOCK: each engine block stacks whole spaces, one per x
         for m in range(1, n + 1):
@@ -245,6 +234,7 @@ def _weight_vector_suites(max_n: int) -> tuple[SuiteResult, ...]:
             # n = m is degenerate: every posterior is a point mass, all entropies 0
             extremal = 2 <= m <= min(n - 1, 8)
             shannon = []
+            closed_singles = {}
             for first, _, block in pattern_blocks(xs, n):
                 weights = block.astype(np.int64)
                 support = np.count_nonzero(weights, axis=(1, 2)).tolist()
@@ -294,8 +284,9 @@ def _weight_vector_suites(max_n: int) -> tuple[SuiteResult, ...]:
                         total_max == clustering.maximal_initials_total(n, m),
                         f"maximal initials total wrong x={x!r} n={n}",
                     )
+                    closed_singles[x] = clustering.count_singletons(n, x)
                     census.check(
-                        clustering.count_singletons(n, x) == singles[j],
+                        closed_singles[x] == singles[j],
                         f"singleton count wrong x={x!r} n={n}",
                     )
             hs = dict(zip(xs, shannon))
@@ -317,6 +308,18 @@ def _weight_vector_suites(max_n: int) -> tuple[SuiteResult, ...]:
                     {x for x, v in hs.items() if v > high - 1e-9} == _alternating(m),
                     f"entropy argmax not alternating n={n} m={m}",
                 )
+                top = max(closed_singles.values())
+                bottom = min(closed_singles.values())
+                singletons.check(
+                    {x for x, v in closed_singles.items() if v == top}
+                    == {"0" * m, "1" * m},
+                    f"singleton max not constants at n={n} m={m}",
+                )
+                singletons.check(
+                    {x for x, v in closed_singles.items() if v == bottom}
+                    == _alternating(m),
+                    f"singleton min not alternating at n={n} m={m}",
+                )
             laws.check(
                 superspace.weight_classes("0" * m, n) == constant_classes(n, m),
                 f"constant-x classes wrong n={n} m={m}",
@@ -334,27 +337,7 @@ def _weight_vector_suites(max_n: int) -> tuple[SuiteResult, ...]:
                 abs(superspace.expected_distinct_subsequences(n, t) - mean) < 1e-9,
                 f"distinct-subsequence mean wrong n={n} t={t}",
             )
-    return laws, census, invariance, extremes
-
-
-def suite_singleton_extremization(max_n: int, rng: random.Random) -> SuiteResult:
-    r = SuiteResult("singleton-extremization")
-    n_top = min(max_n, 12)
-    for m in range(2, min(max_n, 8) + 1):
-        for n in range(m + 1, n_top + 1):
-            counts = {x: clustering.count_singletons(n, x) for x in _strings(m)}
-            top = max(counts.values())
-            bottom = min(counts.values())
-            r.check(
-                {x for x, v in counts.items() if v == top}
-                == {"0" * m, "1" * m},
-                f"singleton max not constants at n={n} m={m}",
-            )
-            r.check(
-                {x for x, v in counts.items() if v == bottom} == _alternating(m),
-                f"singleton min not alternating at n={n} m={m}",
-            )
-    return r
+    return [laws, census, singletons, invariance, extremes]
 
 
 def suite_gchain_deletions(max_n: int, rng: random.Random) -> SuiteResult:
@@ -601,11 +584,7 @@ SUITES = [
     suite_embeddings_three_way,
     suite_embeddings_invariance,
     suite_embeddings_partition,
-    suite_posterior_laws,
-    suite_cluster_census,
-    suite_singleton_extremization,
-    suite_entropy_invariance,
-    suite_entropy_extremization,
+    suite_weight_vectors,
     suite_gchain_deletions,
     suite_closed_minima,
     suite_deletion_classes,
@@ -618,7 +597,13 @@ SUITES = [
 
 
 def suite_names() -> list[str]:
-    return [s.__name__.removeprefix("suite_").replace("_", "-") for s in SUITES]
+    names = []
+    for suite in SUITES:
+        if suite is suite_weight_vectors:
+            names += WEIGHT_VECTOR_SUITES
+        else:
+            names.append(suite.__name__.removeprefix("suite_").replace("_", "-"))
+    return names
 
 
 def run_all(max_n: int, seed: int = 0) -> list[SuiteResult]:
@@ -628,5 +613,8 @@ def run_all(max_n: int, seed: int = 0) -> list[SuiteResult]:
     results = []
     for suite in SUITES:
         rng = random.Random(seed)
-        results.append(suite(max_n, rng))
+        if suite is suite_weight_vectors:
+            results += suite(max_n, rng)
+        else:
+            results.append(suite(max_n, rng))
     return results

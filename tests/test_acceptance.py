@@ -13,6 +13,8 @@ import random
 import time
 from contextlib import contextmanager
 
+import pytest
+
 from delseq import (
     count_embeddings_dp,
     count_embeddings_runs,
@@ -26,12 +28,10 @@ from delseq import (
 from delseq.cli import main
 from delseq.verify import (
     suite_closed_minima,
-    suite_cluster_census,
     suite_hws_kappa,
     suite_hws_moments,
     suite_moment_estimate,
-    suite_posterior_laws,
-    suite_singleton_extremization,
+    suite_weight_vectors,
 )
 
 SEED = 20260810
@@ -49,6 +49,14 @@ def criterion(label, budget=None):
     print(f"\n{label}: PASS ({elapsed:.1f}s)")
     if budget is not None:
         assert elapsed < budget, f"{label} exceeded {budget}s budget"
+
+
+@pytest.fixture(scope="module")
+def weight_vectors():
+    """Criteria 3, 7 and 10 read the one weight-vector pass, all x, n <= 12."""
+    with criterion("weight-vector pass", budget=300.0):
+        results = suite_weight_vectors(12, random.Random(SEED))
+    return {r.name: r for r in results}
 
 
 def compositions(total):
@@ -112,12 +120,12 @@ def test_criterion_2_run_based_counting():
             assert by_runs == len(enumerate_masks(x, y))
 
 
-def test_criterion_3_cardinality_laws():
+def test_criterion_3_cardinality_laws(weight_vectors):
     """|Y|, mask totals, maximal initials and cluster sizes, all x, n <= 12."""
-    with criterion("criterion 3 (cardinality laws)", budget=300.0):
-        laws = suite_posterior_laws(12, random.Random(SEED))
+    with criterion("criterion 3 (cardinality laws)"):
+        laws = weight_vectors["posterior-laws"]
         assert laws.ok, laws.failures[:3]
-        census = suite_cluster_census(12, random.Random(SEED))
+        census = weight_vectors["cluster-census"]
         assert census.ok, census.failures[:3]
 
 
@@ -196,13 +204,13 @@ def test_criterion_6_deletion_class_identities():
         assert brute_checked > 500
 
 
-def test_criterion_7_singletons():
+def test_criterion_7_singletons(weight_vectors):
     """Insertion-slot formula equals brute force for every x, n <= 12, with the
     constant/alternating strings as unique extremizers for m <= 8."""
     with criterion("criterion 7 (singletons)"):
-        census = suite_cluster_census(12, random.Random(SEED))
+        census = weight_vectors["cluster-census"]
         assert census.ok, census.failures[:3]
-        extremes = suite_singleton_extremization(12, random.Random(SEED))
+        extremes = weight_vectors["singleton-extremization"]
         assert extremes.ok, extremes.failures[:3]
 
 
@@ -223,8 +231,8 @@ def test_criterion_9_moment_estimate_bound():
         assert result.ok, result.failures[:3]
 
 
-def test_criterion_10_distinct_subsequence_expectation():
+def test_criterion_10_distinct_subsequence_expectation(weight_vectors):
     """Closed-form E_t(n) equals the brute-force mean within 1e-9, n <= 12."""
     with criterion("criterion 10 (distinct-subsequence expectation)"):
-        laws = suite_posterior_laws(12, random.Random(SEED))
+        laws = weight_vectors["posterior-laws"]
         assert laws.ok, laws.failures[:3]

@@ -11,10 +11,12 @@ n = 17 estimate and n = 16 Renyi chain were recorded while every entropy was
 still computed from a whole-space posterior and the moments summed string by
 string; the m = 10 and m = 11 kappa tables and the 20-run m = 40 census were
 recorded while kappa^2 was still summed pattern by pattern and every run
-length counted in a per-character loop; the verify digest was recorded while
-the entropy suites still built each x's whole space on its own; the
-three-deletion censuses were recorded from the engine's ``weight_classes``
-histogram at n = m + 3, rendered by a hand-written CSV and JSON printer.
+length counted in a per-character loop; the seed-0 CSV verify digest was
+recorded while the entropy suites still built each x's whole space on its
+own, and the seed-1 JSON one while five verify suites still read copies of
+one cached weight-vector pass; the three-deletion censuses were recorded
+from the engine's ``weight_classes`` histogram at n = m + 3, rendered by a
+hand-written CSV and JSON printer.
 """
 
 import hashlib
@@ -94,6 +96,8 @@ GOLDEN = [
      "7fc0a424e8e948a3f6ce2bdf376d66d957e9af9fa890ce3c6459fa0a0e4e238e"),
     (("verify", "--max-n", "6"),
      "f55a78c6463905dc09fa3cadadf1c5680ad1c91f518451423bc85cf62878d170"),
+    (("verify", "--max-n", "7", "--seed", "1", "--format", "json"),
+     "b5f564bb068590b4a6c138f9e9a4b9b89ed63902cfb8ac90f4d3198fa82e43da"),
 ]
 
 

@@ -12,8 +12,7 @@ from whole_space import all_weights
 
 
 def test_entropy_suites_read_the_shared_pass(monkeypatch):
-    # both entropy suites come from the one pattern_blocks sweep per (n, m)
-    # that posterior-laws and cluster-census read
+    # every run sweeps each (n, m) once, for all five weight-vector suites
     swept = []
     blocks = verify.pattern_blocks
 
@@ -22,19 +21,26 @@ def test_entropy_suites_read_the_shared_pass(monkeypatch):
         return blocks(xs, n, max_bits)
 
     monkeypatch.setattr(verify, "pattern_blocks", counting_blocks)
-    verify._weight_vector_suites.cache_clear()
-    try:
-        invariance = verify.suite_entropy_invariance(6, random.Random(0))
-        extremes = verify.suite_entropy_extremization(6, random.Random(0))
-    finally:
-        verify._weight_vector_suites.cache_clear()
-    assert swept == [(n, m) for n in range(1, 7) for m in range(1, n + 1)]
-    assert invariance.ok and invariance.checks == 2 * sum(
-        2**m for n in range(1, 7) for m in range(1, n + 1)
+    once = [(n, m) for n in range(1, 5) for m in range(1, n + 1)]
+    for _ in range(2):
+        swept.clear()
+        results = {r.name: r for r in verify.run_all(4)}
+        assert swept == once
+    assert all(results[name].ok for name in verify.WEIGHT_VECTOR_SUITES)
+    assert results["entropy-invariance"].checks == 2 * sum(
+        2**m for n, m in once
     )
-    assert extremes.ok and extremes.checks == 2 * sum(
-        1 for n in range(3, 7) for m in range(2, n)
-    )
+    extremal = 2 * sum(1 for n, m in once if 2 <= m < n)
+    assert results["entropy-extremization"].checks == extremal
+    assert results["singleton-extremization"].checks == extremal
+
+
+def test_weight_vector_pass_reads_the_cap_on_every_call(monkeypatch):
+    monkeypatch.delenv("DELSEQ_MAX_BITS", raising=False)
+    assert all(r.ok for r in verify.suite_weight_vectors(4, random.Random(0)))
+    monkeypatch.setenv("DELSEQ_MAX_BITS", "3")
+    with pytest.raises(EnumerationCapExceeded):
+        verify.suite_weight_vectors(4, random.Random(0))
 
 
 def test_hws_moments_obeys_the_env_cap(monkeypatch):
