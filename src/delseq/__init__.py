@@ -51,7 +51,6 @@ from .exhaustive import (
     EnumerationCapExceeded,
 )
 from .hws import (
-    kappa_entropy_table,
     kappa_max,
     kappa_squared,
     omega_mean_asymptotic,

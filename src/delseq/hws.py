@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import _check_length, _check_nm, _check_pattern, binomial, complement
 from .exhaustive import check_enumerable
-from .superspace import SHANNON, pattern_weight_classes
+from .superspace import pattern_weight_classes
 
 
 @lru_cache(maxsize=64)
@@ -159,14 +159,3 @@ def sorted_by_kappa(rows: list[tuple]) -> list[tuple]:
     """
     return sorted(rows, key=itemgetter(1), reverse=True)
 
-
-def kappa_entropy_table(
-    n: int, m: int, max_bits: int | None = None
-) -> list[tuple[str, int, float]]:
-    """(x, kappa^2(x), H_n(x)) for every x of length m, sorted by kappa^2.
-
-    Descending autocorrelation, ties broken by x ascending.  At (n, m) =
-    (8, 5) the entropy column is nondecreasing on Table 6.1's eight
-    reference rows, but not over all 32 patterns (00100 against 01110).
-    """
-    return sorted_by_kappa(pattern_sweep(m, n, (SHANNON,), max_bits))

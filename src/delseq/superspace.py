@@ -73,7 +73,9 @@ class Measure:
 
     def __str__(self) -> str:
         if self.kind == "renyi":
-            return "renyi2" if self.alpha == 2 else f"renyi:{self.alpha:g}"
+            short = f"{self.alpha:g}"  # 6 digits: repr where they lose alpha
+            exact = short if float(short) == self.alpha else repr(self.alpha)
+            return "renyi2" if self.alpha == 2 else f"renyi:{exact}"
         return self.kind
 
 
@@ -131,6 +133,34 @@ class WeightClasses:
             self.string_count() == uncertainty_cardinality(self.n, self.m)
             and self.mask_count() == self.mu
         )
+
+    def majorizes(self, other: WeightClasses) -> bool:
+        """Whether this distribution majorizes other's, decided with integers.
+
+        It does when, for every k, this one's k heaviest weights sum to at
+        least other's (Marshall and Olkin); histograms of one (m, deletions)
+        that hold their identities have the same |Y| strings and mu masks.
+        Every Schur-concave entropy (Shannon, each Renyi order, min-entropy)
+        is then at most other's, strictly for Shannon and Renyi unless the
+        classes are equal.  The difference of the partial sums is linear
+        between class boundaries, so it is checked at each boundary.
+        """
+        if (self.m, self.deletions) != (other.m, other.deletions):
+            raise ValueError(
+                "cannot compare histograms of (m, deletions) = "
+                f"{self.m, self.deletions} and {other.m, other.deletions}"
+            )
+        lead = 0  # self's k heaviest weights minus other's, k = strings walked
+        mine, theirs = list(self.classes[::-1]), list(other.classes[::-1])
+        while mine and theirs and lead >= 0:
+            (a, i), (b, j) = mine.pop(), theirs.pop()
+            step = min(i, j)
+            lead += (a - b) * step
+            if i > step:
+                mine.append((a, i - step))
+            if j > step:
+                theirs.append((b, j - step))
+        return lead >= 0
 
     def entropy(self, measure: Measure = SHANNON) -> float:
         """Entropy in bits of the distribution {weight/mu}.

@@ -6,7 +6,11 @@ which failed.  Randomized suites draw from a seeded generator so repeated
 invocations are byte-identical.  Two checks are observations of empirical
 claims (the kappa-entropy ordering off the reference rows, and the
 kappa-minimization conjecture); their outcomes are reported as notes rather
-than failures.  Five suites share one engine sweep per (n, m) over every x of
+than failures.  The minimum-side entropy claims (the constants' minimum, the
+decrease under a run merge) are decided by exact majorization of weight
+histograms (``WeightClasses.majorizes``): one integer check covers Shannon,
+every Renyi order and min-entropy, with no float tolerance.  The maximum side
+is no majorization and stays a float check.  Five suites share one engine sweep per (n, m) over every x of
 length m, made once per run, and every suite reads the cap from
 DELSEQ_MAX_BITS alone, afresh on every call.
 """
@@ -33,13 +37,10 @@ from .entropy import (
     deletion_classes,
     delta1,
     entropy_estimate_from_moments,
-    min_minentropy_closed,
-    min_renyi2_closed,
-    min_shannon_closed,
     single_deletion_classes,
 )
 from .exhaustive import canonical_ends_last, hamming_weight_counts, pattern_blocks
-from .superspace import MIN_ENTROPY, renyi
+from .superspace import SHANNON, WeightClasses
 
 
 @dataclass
@@ -220,7 +221,9 @@ def suite_weight_vectors(max_n: int, rng: random.Random) -> list[SuiteResult]:
     engine's blocks of all x of one length at once, and each suite's checks
     run in their own order.  The entropies are numpy reductions of each plane
     normalized by its own total, an oracle independent of
-    ``WeightClasses.entropy``.
+    ``WeightClasses.entropy``.  The entropy minimum is decided without floats:
+    each plane's ``np.unique`` histogram, a route apart from the engine's
+    ``bincount``, is compared with ``constant_classes`` by majorization.
     """
     laws, census, singletons, invariance, extremes = (
         SuiteResult(name) for name in WEIGHT_VECTOR_SUITES
@@ -235,6 +238,7 @@ def suite_weight_vectors(max_n: int, rng: random.Random) -> list[SuiteResult]:
             extremal = 2 <= m <= min(n - 1, 8)
             shannon = []
             closed_singles = {}
+            histograms = {}
             for first, _, block in pattern_blocks(xs, n):
                 weights = block.astype(np.int64)
                 support = np.count_nonzero(weights, axis=(1, 2)).tolist()
@@ -255,6 +259,11 @@ def suite_weight_vectors(max_n: int, rng: random.Random) -> list[SuiteResult]:
                         invariance.check(
                             h[j] >= r2[j] - 1e-9 and r2[j] >= hmin[j] - 1e-9,
                             f"measure ordering violated x={x!r} n={n}",
+                        )
+                    if extremal:
+                        w, mult = np.unique(weights[j][present], return_counts=True)
+                        histograms[x] = WeightClasses(
+                            m, n - m, tuple(zip(w[::-1].tolist(), mult[::-1].tolist()))
                         )
                     maximal = canonical_ends_last(x, present.ravel())
                     hx = x.count("1")
@@ -298,12 +307,18 @@ def suite_weight_vectors(max_n: int, rng: random.Random) -> list[SuiteResult]:
                         f"entropy symmetry violated x={x!r} n={n}",
                     )
             if extremal:
-                low, high = min(shannon), max(shannon)
+                # 0^m majorizes every x, strictly unless x is constant: it is
+                # the unique minimum of every strictly Schur-concave entropy
+                low = constant_classes(n, m)
                 extremes.check(
-                    {x for x, v in hs.items() if v < low + 1e-9}
+                    all(low.majorizes(h) for h in histograms.values())
+                    and {x for x, h in histograms.items() if h == low}
                     == {"0" * m, "1" * m},
-                    f"entropy argmin not constants n={n} m={m}",
+                    f"constant classes do not strictly majorize all x n={n} m={m}",
                 )
+                # asserted at m <= 8, n <= 12 only, where it holds: from m = 10
+                # on the alternating strings stop being the Shannon argmax
+                high = max(shannon)
                 extremes.check(
                     {x for x, v in hs.items() if v > high - 1e-9} == _alternating(m),
                     f"entropy argmax not alternating n={n} m={m}",
@@ -342,54 +357,28 @@ def suite_weight_vectors(max_n: int, rng: random.Random) -> list[SuiteResult]:
 
 def suite_gchain_deletions(max_n: int, rng: random.Random) -> SuiteResult:
     r = SuiteResult("gchain-deletions")
-    renyi_orders = [renyi(a) for a in (0.5, 2.0, 4.0)]
     for n in range(3, min(max_n, 12) + 1):
         for d in (1, 2):
             m = n - d
             if m < 1:
                 continue
-            # a chain keeps its length, so every element is one of these
+            # a merge keeps the length, so g(x) is in the same census
             census = {x: deletion_classes(rle_encode(x), d) for x in _strings(m)}
-            for x in _strings(m):
-                chain = [census[rle_decode(s)] for s in g_chain(rle_encode(x))]
-                values = [c.entropy() for c in chain]
+            for x, classes in census.items():
+                x_rle = rle_encode(x)
+                if x_rle.block_count < 2:
+                    continue
+                merged = census[rle_decode(apply_g(x_rle))]
+                # strictly, so every strictly Schur-concave entropy decreases
                 r.check(
-                    all(a > b for a, b in zip(values, values[1:])),
-                    f"g chain not strictly decreasing x={x!r} d={d}",
+                    merged.majorizes(classes) and merged != classes,
+                    f"g(x) does not strictly majorize x={x!r} d={d}",
                 )
-                if d == 1 and len(chain) > 1:
-                    for measure in renyi_orders:
-                        r.check(
-                            chain[0].entropy(measure) > chain[1].entropy(measure),
-                            f"Renyi({measure.alpha}) not decreased x={x!r}",
-                        )
             if d == 1 and m >= 2:
                 r.check(
                     census[min(_alternating(m))].classes == ((2, m), (1, 2)),
                     f"alternating single-deletion census wrong m={m}",
                 )
-    return r
-
-
-def suite_closed_minima(max_n: int, rng: random.Random) -> SuiteResult:
-    r = SuiteResult("closed-minima")
-    for n in range(1, min(max_n, 14) + 1):
-        for m in range(1, n + 1):
-            wc = superspace.weight_classes("0" * m, n)
-            r.check(
-                abs(min_shannon_closed(n, m) - wc.entropy()) < 1e-9,
-                f"closed Shannon minimum wrong n={n} m={m}",
-            )
-            r.check(
-                abs(min_renyi2_closed(n, m) - wc.entropy(renyi(2))) < 1e-9,
-                f"closed Renyi-2 minimum wrong n={n} m={m}",
-            )
-            direct = wc.entropy(MIN_ENTROPY)
-            r.check(
-                min_minentropy_closed(n, m) == n - m
-                and abs(direct - (n - m)) < 1e-9,
-                f"min-entropy minimum wrong n={n} m={m}",
-            )
     return r
 
 
@@ -400,10 +389,6 @@ def suite_deletion_classes(max_n: int, rng: random.Random) -> SuiteResult:
         x_rle = _random_runs(rng, 20)
         m = x_rle.length
         for census in (single_deletion_classes(x_rle), deletion_classes(x_rle, 2)):
-            r.check(
-                census.identities_hold(),
-                f"census identities failed runs={x_rle.runs} d={census.deletions}",
-            )
             if m <= brute_cap:
                 brute = superspace.weight_classes(rle_decode(x_rle), census.n)
                 r.check(
@@ -434,12 +419,6 @@ def suite_merge_entropy_gap(max_n: int, rng: random.Random) -> SuiteResult:
             abs(2 * n1 * gap1 - delta1(k[0], k[1])) < 1e-9,
             f"delta1 identity failed runs={k}",
         )
-        # two deletions: positivity of the gap
-        gap2 = (
-            deletion_classes(x_rle, 2).entropy()
-            - deletion_classes(apply_g(x_rle), 2).entropy()
-        )
-        r.check(gap2 > 0, f"double-deletion gap not positive runs={k}")
     return r
 
 
@@ -477,7 +456,7 @@ def suite_kappa_entropy_ordering(max_n: int, rng: random.Random) -> SuiteResult:
     if max_n < 8:
         r.notes.append("skipped (needs max-n >= 8)")
         return r
-    rows = hws.kappa_entropy_table(8, 5)
+    rows = hws.sorted_by_kappa(hws.pattern_sweep(5, 8, (SHANNON,)))
     table = {x: (k2, h) for x, k2, h in rows}
     reference = [
         ("11111", 630, 5.4649),
@@ -586,7 +565,6 @@ SUITES = [
     suite_embeddings_partition,
     suite_weight_vectors,
     suite_gchain_deletions,
-    suite_closed_minima,
     suite_deletion_classes,
     suite_merge_entropy_gap,
     suite_hws_kappa,

@@ -11,10 +11,11 @@ n = 17 estimate and n = 16 Renyi chain were recorded while every entropy was
 still computed from a whole-space posterior and the moments summed string by
 string; the m = 10 and m = 11 kappa tables and the 20-run m = 40 census were
 recorded while kappa^2 was still summed pattern by pattern and every run
-length counted in a per-character loop; the seed-0 CSV verify digest was
-recorded while the entropy suites still built each x's whole space on its
-own, and the seed-1 JSON one while five verify suites still read copies of
-one cached weight-vector pass; the three-deletion censuses were recorded
+length counted in a per-character loop; the two verify digests were
+recorded when the minimum-side entropy checks became majorization checks,
+from output that differed from the version before only in the dropped
+closed-minima row and in the check counts of gchain-deletions,
+deletion-classes and merge-entropy-gap; the three-deletion censuses were recorded
 from the engine's ``weight_classes`` histogram at n = m + 3, rendered by a
 hand-written CSV and JSON printer.
 """
@@ -95,9 +96,9 @@ GOLDEN = [
     (("classes", "--x-rle", "s=0,2,1,1,3,1", "--deletions", "3", "--format", "json"),
      "7fc0a424e8e948a3f6ce2bdf376d66d957e9af9fa890ce3c6459fa0a0e4e238e"),
     (("verify", "--max-n", "6"),
-     "f55a78c6463905dc09fa3cadadf1c5680ad1c91f518451423bc85cf62878d170"),
+     "68c1c6135881257a80aa9a05f9ee0f4d3568a02d45caa609f9af0d895d4dc1e4"),
     (("verify", "--max-n", "7", "--seed", "1", "--format", "json"),
-     "b5f564bb068590b4a6c138f9e9a4b9b89ed63902cfb8ac90f4d3198fa82e43da"),
+     "99f782b19292e1b979e0adce8cb3d20f023bbd7718641a4f3cc97bcb56384552"),
 ]
 
 

@@ -1,4 +1,4 @@
-"""Autocorrelation, asymptotic moments and the kappa-entropy table."""
+"""Autocorrelation, asymptotic moments and the kappa-sorted entropy table."""
 
 from math import comb
 
@@ -13,7 +13,6 @@ from delseq import (
     EnumerationCapExceeded,
     binomial,
     complement,
-    kappa_entropy_table,
     kappa_max,
     kappa_squared,
     omega_mean_asymptotic,
@@ -22,6 +21,7 @@ from delseq import (
     reverse,
     weight_classes,
 )
+from delseq.hws import pattern_sweep, sorted_by_kappa
 from delseq.verify import _alternating, _strings as all_strings
 from whole_space import all_weights
 
@@ -123,7 +123,7 @@ def test_variance_ordering_follows_kappa():
 
 
 def test_kappa_entropy_table_reference_rows():
-    rows = {x: (k2, h) for x, k2, h in kappa_entropy_table(8, 5)}
+    rows = {x: (k2, h) for x, k2, h in pattern_sweep(5, 8, (SHANNON,))}
     expected = {
         "11111": (630, 5.4649),
         "00000": (630, 5.4649),
@@ -143,22 +143,20 @@ def test_kappa_entropy_table_reference_rows():
 
 
 def test_kappa_entropy_table_shape_and_order():
-    rows = kappa_entropy_table(8, 5)
+    rows = sorted_by_kappa(pattern_sweep(5, 8, (SHANNON,)))
     assert len(rows) == 32
     kappas = [k2 for _, k2, _ in rows]
     assert kappas == sorted(kappas, reverse=True)
-    two = kappa_entropy_table(4, 1)
+    two = sorted_by_kappa(pattern_sweep(1, 4, (SHANNON,)))
     assert [(x, k2) for x, k2, _ in two] == [("0", 1), ("1", 1)]
     assert two[0][2] == pytest.approx(two[1][2])
     with pytest.raises(EnumerationCapExceeded):
-        kappa_entropy_table(30, 2)
+        pattern_sweep(2, 30, (SHANNON,))
 
 
 def test_pattern_sweep_holds_orbits_times_strings_to_cap():
     # 6, 10, 20 and 36 orbits at m = 4..7: a sweep enumerates orbits * 2^n
     # strings, refused one bit below that and run in full at it
-    from delseq.hws import pattern_sweep
-
     for m, orbits in zip(range(4, 8), (6, 10, 20, 36)):
         n = m + 4
         bits = ((orbits << n) - 1).bit_length()
@@ -188,7 +186,7 @@ def test_orbit_count_matches_the_orbits():
     "above); the claim fails only off the reference rows.",
 )
 def test_kappa_entropy_table_fully_monotone():
-    rows = kappa_entropy_table(8, 5)
+    rows = sorted_by_kappa(pattern_sweep(5, 8, (SHANNON,)))
     entropies = [h for _, _, h in rows]
     assert all(a <= b + 1e-12 for a, b in zip(entropies, entropies[1:]))
 
@@ -286,5 +284,5 @@ def test_sorted_by_kappa_breaks_ties_by_x():
         rows = hws.pattern_sweep(m)
         assert hws.sorted_by_kappa(rows) == by_key(rows), m
     for n, m in [(8, 5), (9, 6)]:
-        table = kappa_entropy_table(n, m)
-        assert table == by_key(hws.pattern_sweep(m, n, (SHANNON,))), (n, m)
+        rows = hws.pattern_sweep(m, n, (SHANNON,))
+        assert hws.sorted_by_kappa(rows) == by_key(rows), (n, m)

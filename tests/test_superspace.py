@@ -1,6 +1,7 @@
 """Uncertainty-set posteriors, weight histograms and distinct-subsequence statistics."""
 
 import math
+import random
 import tracemalloc
 from collections import Counter
 
@@ -130,6 +131,29 @@ def test_weight_classes_constant_string():
         for m in {0, 1, 2, 6, n // 2, n - 1, n}
         if 0 <= m <= n
     )
+
+
+def test_majorizes_matches_expanded_partial_sums():
+    # the oracle expands each histogram to its weight vector, heaviest first,
+    # and compares the running sums of the two vectors entry by entry
+    def running_sums(wc):
+        weights, mults = zip(*wc.classes)
+        return np.cumsum(np.repeat(weights, mults))
+
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        m = rng.randint(1, n)
+        x, rival = ("".join(rng.choice("01") for _ in range(m)) for _ in range(2))
+        ours, theirs = weight_classes(x, n), weight_classes(rival, n)
+        expected = bool(np.all(running_sums(ours) >= running_sums(theirs)))
+        assert ours.majorizes(theirs) == expected, (x, rival, n)
+        seen.add(expected)
+    assert seen == {True, False}
+    for other in (weight_classes("01", 5), weight_classes("011", 4)):
+        with pytest.raises(ValueError, match=r"\(m, deletions\)"):
+            weight_classes("01", 4).majorizes(other)
 
 
 def test_weight_classes_totals_constant_over_x():
