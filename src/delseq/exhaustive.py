@@ -4,32 +4,36 @@ These routines are the brute-force side of every dual-route check in the
 package: they compute per-string quantities for the entire space (strings
 are indexed by their value as an MSB-first binary number).
 
-Embedding counts are computed meet-in-the-middle.  Writing y = y1 y2 with
-|y1| = n // 2, every embedding of x splits at some i into an embedding of
-x[:i] in y1 and one of x[i:] in y2, so
+Embedding counts are products of step matrices (the hidden-word transfer
+matrix of Flajolet, Szpankowski and Vallee): with A_b = I + E_b and
+E_b[i, i+1] = [x_{i+1} = b], omega_x(y) = e_0 A_{y_1} ... A_{y_n} e_m.
+They are computed meet-in-the-middle.  Writing y = y1 y2 with |y1| = n // 2,
+every embedding of x splits at some i into an embedding of x[:i] in y1 and
+one of x[i:] in y2, so
 
     omega_x(y1 y2) = sum_i omega_{x[:i]}(y1) * omega_{x[i:]}(y2)
 
-and the whole weight vector is the matrix product of a prefix table
-(2^(n//2) rows) with a suffix table (2^(n - n//2) columns).  Both tables are
-float64, so the product runs in BLAS.  ``pattern_blocks`` is the one engine,
-over a list of patterns of one length: it yields the product in blocks of
-about 2^16 strings.  Below that size one block stacks the whole spaces of
-several patterns, one batched product of their stacked tables, so a pattern
-sweep at small n costs one product per block, not one per pattern; from
-2^16 strings on, a block is whole prefix rows of one pattern.  A single x
-is the stack of one, ``pattern_blocks([x], n)``, whose blocks hold one
-plane.  Every whole-space result the package reports, the posterior dump
-included, takes the blocks one at a time or reduces them to a weight
-histogram, and never holds 2^n weights; only the tests copy the blocks into
-one 2^n array.
+and the whole weight vector is the matrix product of a prefix table of the
+rows e_0 A_{y1} (2^(n//2) of them) with a suffix table of the columns
+A_{y2} e_m (2^(n - n//2) of them), each table doubled by one product per
+bit.  Both tables are float64, so every product runs in BLAS.
+``pattern_blocks`` is the one engine, over a list of patterns of one
+length: it yields the product in blocks of about 2^16 strings.  Below that
+size one block stacks the whole spaces of several patterns, one batched
+product of their stacked tables, so a pattern sweep at small n costs one
+product per block, not one per pattern; from 2^16 strings on, a block is
+whole prefix rows of one pattern.  A single x is the stack of one,
+``pattern_blocks([x], n)``, whose blocks hold one plane.  Every whole-space
+result the package reports, the posterior dump included, takes the blocks
+one at a time or reduces them to a weight histogram, and never holds 2^n
+weights; only the tests copy the blocks into one 2^n array.
 
-Every table entry, term and partial sum is a nonnegative integer no larger
-than omega_x(y) <= C(n, m), and every such integer is exact in float64 while
-C(n, m) < 2^53 (every m at every n <= 56); ``pattern_blocks`` checks that
-bound, and that building the tables fits in physical memory
-(``check_table_memory``), before allocating anything.  Callers convert to
-Python ints at the boundary.
+Every term and partial sum of the product is an integer no larger than
+omega_x(y) <= C(n, m), exact in float64 while C(n, m) < 2^53 (every m at
+every n <= 56); a table entry counts embeddings in ceil(n/2) symbols at
+most, below 2^53 for every n whose tables fit in memory.  ``pattern_blocks``
+checks both bounds (``check_float64_exact``, ``check_table_memory``) before
+allocating anything.  Callers convert to Python ints at the boundary.
 
 ``check_enumerable`` is the one check of work against a size cap (default 22
 bits), for the engine, the pattern sweeps and the census, before any work
@@ -92,42 +96,19 @@ def check_float64_exact(n: int, m: int) -> None:
         )
 
 
-def _prefix_counts(masks: np.ndarray, k: int) -> np.ndarray:
-    """P[j, u, i] = omega_{x_j[:i]}(u) for every u of length k, i = 0..m.
+def _step_matrices(xs: list[str]) -> np.ndarray:
+    """A[j, b] = I + E_b for x_j, where E_b[i, i+1] = 1 wherever x_j[i] = b.
 
-    ``masks[j, b, i]`` is 1 where x_j[i] = b, for a stack of patterns x_j of
-    one length m.  Appending bit b to u (row 2u + b) adds omega_{x[:i-1]}(u)
-    to column i wherever x[i-1] = b.
+    The one statement of the counting recurrence: for every string y,
+    omega_{x[i:i']}(y) is entry (i, i') of A_{y_1} ... A_{y_n}, since reading
+    one more symbol b either skips it (I) or matches it to x's next symbol.
     """
-    stack, _, m = masks.shape
-    p = np.zeros((stack, 1, m + 1))
-    p[:, 0, 0] = 1
-    for _ in range(k):
-        q = np.empty((stack, p.shape[1], 2, m + 1))
-        q[:] = p[:, :, None]
-        q[:, :, :, 1:] += p[:, :, None, :-1] * masks[:, None]
-        p = q.reshape(stack, -1, m + 1)
-    return p
-
-
-def _suffix_counts(masks: np.ndarray, k: int) -> np.ndarray:
-    """S[j, i, v] = omega_{x_j[i:]}(v) for i = 0..m and every v of length k.
-
-    Built in the layout the product reads, C-contiguous with v last: prepending
-    bit b to v (column b * 2^j + v) adds omega_{x[i+1:]}(v) to row i wherever
-    x[i] = b.  The add is made in place, so a doubling step holds s and its
-    successor and nothing more.
-    """
-    stack, _, m = masks.shape
-    s = np.zeros((stack, m + 1, 1))
-    s[:, -1, 0] = 1
-    by_position = masks.transpose(0, 2, 1)[:, :, :, None] == 1
-    for _ in range(k):
-        q = np.empty((stack, m + 1, 2, s.shape[2]))
-        q[:] = s[:, :, None]
-        np.add(q[:, :-1], s[:, 1:, None], out=q[:, :-1], where=by_position)
-        s = q.reshape(stack, m + 1, -1)
-    return s
+    m = len(xs[0])
+    a = np.zeros((len(xs), 2, m + 1, m + 1))
+    i = np.arange(m + 1)
+    a[:, :, i, i] = 1
+    a[:, :, i[:-1], i[1:]] = [[[c == b for c in x] for b in "01"] for x in xs]
+    return a
 
 
 def physical_memory() -> int | None:
@@ -161,10 +142,28 @@ STRING_BLOCK = 1 << 16  # strings per block of the product
 
 
 def _tables(xs: list[str], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The stacked prefix and suffix tables of xs, both C-contiguous."""
-    masks = np.array([[[c == b for c in x] for b in "01"] for x in xs], np.float64)
-    k = n // 2
-    return _prefix_counts(masks, k), _suffix_counts(masks, n - k)
+    """The stacked prefix and suffix tables of xs, both C-contiguous.
+
+    One product per doubling step, written straight into the next table, so
+    a step holds a table and its successor only: appending bit b to u (row
+    2u + b) multiplies row u by A_b, and prepending b to v (column b 2^t + v)
+    multiplies column v by A_b.
+    """
+    a = _step_matrices(xs)
+    stack, _, width, _ = a.shape
+    prefix = np.zeros((stack, 1, width))
+    prefix[:, 0, 0] = 1
+    for _ in range(n // 2):
+        q = np.empty((stack, prefix.shape[1], 2, width))
+        np.matmul(prefix[:, None], a, out=q.swapaxes(1, 2))
+        prefix = q.reshape(stack, -1, width)
+    suffix = np.zeros((stack, width, 1))
+    suffix[:, -1, 0] = 1
+    for _ in range(n - n // 2):
+        q = np.empty((stack, width, 2, suffix.shape[2]))
+        np.matmul(a, suffix[:, None], out=q.swapaxes(1, 2))
+        suffix = q.reshape(stack, width, -1)
+    return prefix, suffix
 
 
 def patterns_per_block(n: int) -> int:

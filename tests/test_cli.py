@@ -209,7 +209,7 @@ def test_out_of_memory_exits_3(capsys, monkeypatch, message):
         assert captured.err == f"error: {message or 'out of memory'}\n"
 
 
-@pytest.mark.parametrize("table", ["_prefix_counts", "_suffix_counts"])
+@pytest.mark.parametrize("table", ["_step_matrices", "_tables"])
 def test_posterior_table_allocation_failure_prints_nothing(capsys, monkeypatch, table):
     # the engine builds its tables when called, so the dump fails before its header
     def allocate(*args, **kwargs):

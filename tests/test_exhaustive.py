@@ -228,6 +228,25 @@ def test_pattern_blocks_stack_whole_spaces(m, n):
         assert np.array_equal(seen[x], all_weights(x, n)), x
 
 
+def test_tables_match_dp_for_every_x_up_to_m_6():
+    # each entry against the scalar DP, not only their product: prefix rows
+    # are the u of length n // 2, suffix columns the v of length n - n // 2
+    for m in range(7):
+        xs, cuts = all_strings(m), range(m + 1)
+        prefix, suffix = {}, {}
+        for x in xs:
+            for k in range(7):
+                ys, dp = all_strings(k), count_embeddings_dp
+                prefix[x, k] = [[dp(x[:i], y) for i in cuts] for y in ys]
+                suffix[x, k] = [[dp(x[i:], y) for y in ys] for i in cuts]
+        for n in range(13):
+            stacked = _tables(xs, n)
+            for j, x in enumerate(xs):
+                expected = [[prefix[x, n // 2]], [suffix[x, n - n // 2]]]
+                for tables in (_tables([x], n), [t[j : j + 1] for t in stacked]):
+                    assert [t.tolist() for t in tables] == expected, (x, n)
+
+
 @pytest.mark.parametrize("m,n", [(0, 4), (3, 5), (5, 12), (7, 17)])
 def test_product_tables_are_c_contiguous(m, n):
     # the block product reads both tables without a strided copy
